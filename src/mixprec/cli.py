@@ -8,6 +8,7 @@ or for inherently structured commands); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -85,17 +86,17 @@ def _load_windowed(args, seq_len: int):
     from .data import ingest, window
 
     series = ingest(Path(args.data), args.target, getattr(args, "timestamp", None))
-    if args.target is None:
-        raise ValueError("--target is required")
     return window(series, seq_len, args.test_fraction)
 
 
 def _resolve_target(args) -> None:
     # default target: last CSV column
     if args.target is None:
-        with open(args.data) as fh:
-            header = fh.readline().strip().split(",")
+        with open(args.data, newline="") as fh:
+            header = next(csv.reader(fh), [])
         columns = [h.strip() for h in header if h.strip() != getattr(args, "timestamp", None)]
+        if not columns:
+            raise ValueError(f"{args.data}: the CSV header names no data column")
         args.target = columns[-1]
 
 

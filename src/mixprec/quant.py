@@ -221,13 +221,17 @@ def make_requantizer(s_in: float, s_out: float) -> Requantizer:
     return Requantizer(multiplier=multiplier, shift=shift)
 
 
-def _rounding_shift(product: np.ndarray, shift: int) -> np.ndarray:
-    """Divide by 2**shift rounding half away from zero, in integer arithmetic."""
-    if shift == 0:
-        return product
-    magnitude = np.abs(product)
-    rounded = (magnitude + (1 << (shift - 1))) >> shift
-    return np.sign(product) * rounded
+def rounding_shift(p: np.ndarray, shift: int | np.ndarray) -> np.ndarray:
+    """Divide int64 ``p`` by 2**shift (scalar or per element) rounding half away from zero.
+
+    Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring; at shift 0
+    (the identity) the ``[p < 0]`` term compares against the int64 minimum instead.
+    """
+    half = (np.int64(1) << shift) >> 1
+    out = p + half
+    out -= p < np.where(half > 0, 0, np.iinfo(np.int64).min)
+    out >>= shift
+    return out
 
 
 def requantize(
@@ -236,24 +240,22 @@ def requantize(
     out_zero_point: int,
     out_bitwidth: int,
     signed: bool = True,
-    offset: int | np.ndarray = 0,
 ) -> np.ndarray | int:
     """Rescale an integer accumulator onto an output grid.
 
-    Computes ``round((acc + offset/2**shift) * multiplier * 2**(-shift))
-    + out_zero_point`` saturated to the output range, in integer arithmetic
-    with 64-bit-or-wider intermediates. ``offset`` is a pre-scaled additive
-    term (units of 2**(-shift)) used for folded affine constants.
+    Computes ``round(acc * multiplier * 2**(-shift)) + out_zero_point``
+    saturated to the output range, in 64-bit integer arithmetic: with
+    |acc| < 2**31 and a 31-bit multiplier the product stays below 2**62.
     """
     scalar = not isinstance(acc, np.ndarray)
     acc_arr = np.asarray(acc, dtype=np.int64)
-    # 32-bit accumulator contract: anything larger is a planning bug upstream.
-    if acc_arr.size and np.abs(acc_arr).max() > (1 << 31):
+    # 32-bit accumulator contract |acc| < 2**31, proven at plan time: anything
+    # larger is a planning bug upstream (and would void the exact float64 matmuls)
+    if acc_arr.size and (acc_arr.min() <= -(1 << 31) or acc_arr.max() >= (1 << 31)):
         raise AssertionError("accumulator exceeds 32-bit bound; widen the plan")
-    product = acc_arr * np.int64(r.multiplier) + np.asarray(offset, dtype=np.int64)
-    q = _rounding_shift(product, r.shift) + out_zero_point
-    lo, hi = int_range(out_bitwidth, signed)
-    q = np.clip(q, lo, hi)
+    q = rounding_shift(acc_arr * np.int64(r.multiplier), r.shift)
+    q += out_zero_point
+    q = np.clip(q, *int_range(out_bitwidth, signed))
     return int(q) if scalar else q
 
 

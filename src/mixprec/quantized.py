@@ -10,6 +10,16 @@ table approximates the float softmax.
 Residual adds requantize each addend onto the output grid before the integer
 addition; the FFN's hidden grid is unsigned with zero point 0, so its
 requantizer clamp doubles as the ReLU.
+
+The integer matmuls (eight linears, q.k^T and p.v) run on float64 BLAS and
+are cast back to int64, bit-identical to int64 matmuls. Their operands are
+zero-point-corrected integers, and ``_assert_accumulator_bound`` proves at
+plan time that every accumulator, bias included, satisfies |acc| < 2**31;
+every product and partial sum is bounded by the same sum of magnitudes.
+float64 represents every integer below 2**53 exactly, so each product and
+each addition is exact in any summation order, blocking or FMA use, hence
+for any BLAS library and thread count. ``requantize`` re-checks the 2**31
+bound at run time.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .quant import (
     quantize,
     requantize,
     round_half_away,
+    rounding_shift,
 )
 
 # Activation junctions in dataflow order, each quantized at the bitwidth of
@@ -241,14 +252,6 @@ _SOFTMAX_FRAC_BITS = 26  # fixed-point resolution of t * log2(e)
 _PROB_ACC_BITS = 24  # normalized probabilities in Q24
 
 
-def _rounding_shift_array(p: np.ndarray, shift: np.ndarray | int) -> np.ndarray:
-    """Per-element divide by 2**shift, rounding half away from zero."""
-    shift = np.asarray(shift, dtype=np.int64)
-    half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), 0)
-    mag = (np.abs(p) + half) >> shift
-    return np.sign(p) * mag
-
-
 def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarray:
     """Row-wise softmax over integer scores in Q(_PROB_ACC_BITS) fixed point.
 
@@ -270,8 +273,8 @@ def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarra
     frac = rem & ((1 << interp_bits) - 1)
     base = _EXP2_LUT[idx]
     delta = _EXP2_LUT[idx + 1] - base  # negative
-    e_val = base + _rounding_shift_array(delta * frac, interp_bits)
-    e_val = np.where(n_exp >= 62, 0, _rounding_shift_array(e_val, np.minimum(n_exp, 61)))
+    e_val = base + rounding_shift(delta * frac, interp_bits)
+    e_val = np.where(n_exp >= 62, 0, rounding_shift(e_val, np.minimum(n_exp, 61)))
 
     total = e_val.sum(axis=-1, keepdims=True)  # >= 2**15 (the max entry)
     raw = e_val << _PROB_ACC_BITS
@@ -292,10 +295,12 @@ class _Runtime:
     """Requantizers and folded integer constants derived from the params."""
 
     linear: dict[str, Requantizer] = field(default_factory=dict)
+    weights: dict[str, np.ndarray] = field(default_factory=dict)  # w - zero point, float64
     add: dict[str, tuple[Requantizer, Requantizer]] = field(default_factory=dict)
     bn: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     scores: Requantizer | None = None
     probs: Requantizer | None = None
+    ctx: Requantizer | None = None
     gap: Requantizer | None = None
 
 
@@ -355,6 +360,8 @@ def _build_runtime(qm: QuantizedModel) -> None:
     ):
         s_acc = qm.tensors[f"{name}.bias"].params.scale  # = s_x * s_w
         rt.linear[name] = make_requantizer(s_acc, act[out_junction].scale)
+        w = qm.tensors[f"{name}.weight"]
+        rt.weights[name] = _centered(w.data, w.params.zero_point)
 
     rt.add["add_pe"] = (
         make_requantizer(act["l_input.out"].scale, act["add_pe.out"].scale),
@@ -372,6 +379,8 @@ def _build_runtime(qm: QuantizedModel) -> None:
     s_q, s_k = act["mha.q"].scale, act["mha.k"].scale
     rt.scores = make_requantizer(s_q * s_k / math.sqrt(d), act["mha.scores"].scale)
     rt.probs = make_requantizer(2.0**-_PROB_ACC_BITS, act["mha.probs"].scale)
+    s_p, s_v = act["mha.probs"].scale, act["mha.v"].scale
+    rt.ctx = make_requantizer(s_p * s_v, act["mha.context"].scale)
     rt.gap = make_requantizer(act["bn_ffn.out"].scale / qm.config.seq_len, act["gap.out"].scale)
 
     for prefix, in_junction, out_junction in (
@@ -456,13 +465,18 @@ def quantize_model(
 # --- integer forward ----------------------------------------------------------
 
 
+def _centered(x_q: np.ndarray, zero_point: int) -> np.ndarray:
+    """``x_q - zero_point`` as float64, an operand of an exact BLAS matmul (see above)."""
+    return np.subtract(x_q, zero_point, dtype=np.float64)
+
+
 def _int_linear(
     x_q: np.ndarray, x_p: QuantParams, qm: QuantizedModel, name: str, out_junction: str
 ) -> np.ndarray:
-    w = qm.tensors[f"{name}.weight"]
     b = qm.tensors[f"{name}.bias"]
     out_p = qm.act_params[out_junction]
-    acc = (x_q - x_p.zero_point) @ (w.data - w.params.zero_point) + b.data
+    acc = (_centered(x_q, x_p.zero_point) @ qm.runtime.weights[name]).astype(np.int64)
+    acc += b.data
     return requantize(
         acc, qm.runtime.linear[name], out_p.zero_point, out_p.bitwidth, out_p.signed
     )
@@ -491,8 +505,14 @@ def _int_bn(
     bn = qm.runtime.bn[prefix]
     acc = (x_q - in_p.zero_point).astype(np.int64)
     product = bn["sign"] * acc * bn["mult"] + bn["offset"]
-    y = _rounding_shift_array(product, bn["shift"]) + out_p.zero_point
+    y = rounding_shift(product, bn["shift"]) + out_p.zero_point
     return np.clip(y, out_p.q_min, out_p.q_max)
+
+
+# windows per integer pass: at d_model=64 a batch's largest temporary (the FFN
+# hidden layer) is 1.5 MB, where all 1,988 windows of the bundled series at
+# once allocate fresh 49 MB arrays whose page faults swing the run time
+_BATCH = 64
 
 
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
@@ -507,8 +527,16 @@ def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     cfg = qm.config
     if x.shape[1:] != (cfg.seq_len, cfg.input_dim):
         raise ValueError(f"input shape {x.shape[1:]} does not match the model config")
-    act = qm.act_params
+    # windows are independent, so batching leaves every output bit unchanged
+    y = np.concatenate([
+        _forward_batch(qm, x[i:i + _BATCH]) for i in range(0, max(len(x), 1), _BATCH)
+    ])
+    return y[0] if single else y
 
+
+def _forward_batch(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
+    """The dequantized outputs of a batch of int64 windows (n, seq_len, input_dim)."""
+    in_p, act = qm.act_params["input"], qm.act_params
     h = _int_linear(x, in_p, qm, "l_input", "l_input.out")
     pe = qm.tensors["pos_encoding"]
     xe = _int_add(
@@ -519,7 +547,8 @@ def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     k = _int_linear(xe, act["add_pe.out"], qm, "mha.wk", "mha.k")
     v = _int_linear(xe, act["add_pe.out"], qm, "mha.wv", "mha.v")
 
-    s_acc = (q - act["mha.q"].zero_point) @ (k - act["mha.k"].zero_point).transpose(0, 2, 1)
+    k_t = _centered(k, act["mha.k"].zero_point).transpose(0, 2, 1)
+    s_acc = (_centered(q, act["mha.q"].zero_point) @ k_t).astype(np.int64)
     sp = act["mha.scores"]
     s = requantize(s_acc, qm.runtime.scores, sp.zero_point, sp.bitwidth, sp.signed)
 
@@ -527,10 +556,10 @@ def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     pp = act["mha.probs"]
     p = requantize(p_fix, qm.runtime.probs, pp.zero_point, pp.bitwidth, pp.signed)
 
-    ctx_acc = (p - pp.zero_point) @ (v - act["mha.v"].zero_point)
+    v_c = _centered(v, act["mha.v"].zero_point)
+    ctx_acc = (_centered(p, pp.zero_point) @ v_c).astype(np.int64)
     cp = act["mha.context"]
-    r_ctx = make_requantizer(pp.scale * act["mha.v"].scale, cp.scale)
-    ctx = requantize(ctx_acc, r_ctx, cp.zero_point, cp.bitwidth, cp.signed)
+    ctx = requantize(ctx_acc, qm.runtime.ctx, cp.zero_point, cp.bitwidth, cp.signed)
 
     mo = _int_linear(ctx, cp, qm, "mha.wo", "mha.out")
     r1 = _int_add(xe, act["add_pe.out"], mo, act["mha.out"], qm, "add_mha", "add_mha.out")
@@ -549,8 +578,7 @@ def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
 
     y_q = _int_linear(g, gp, qm, "l_output", "output")
     yp = act["output"]
-    y = yp.scale * (y_q.astype(np.float64) - yp.zero_point)
-    return y[0] if single else y
+    return yp.scale * (y_q.astype(np.float64) - yp.zero_point)
 
 
 # --- fake-quant forward -------------------------------------------------------

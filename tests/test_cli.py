@@ -196,6 +196,26 @@ class TestModelCommands:
         doc = run_json(capsys, ["infer", "--model", str(qmodel), "--data", data_path])
         assert len(doc["predictions"]) == 39
 
+    def test_quoted_header_resolves_default_target(self, data_path, tmp_path, capsys):
+        model, qmodel = tmp_path / "model.json", tmp_path / "qmodel.json"
+        assert run(self.train_args(data_path, model)) == 0
+        quoted = tmp_path / "quoted.csv"
+        header, rest = Path(data_path).read_text().split("\n", 1)
+        quoted.write_text(",".join(f'"{h}"' for h in header.split(",")) + "\n" + rest)
+        assert run(["quantize", "--model", str(model), "--combo", "6,6,6,6,6,6,6,6,6,6",
+                    "--data", str(quoted), "--out", str(qmodel)]) == 0
+        capsys.readouterr()
+        plain = run_json(capsys, ["eval", "--model", str(qmodel), "--data", data_path])
+        assert run_json(capsys, ["eval", "--model", str(qmodel), "--data", str(quoted)]) == plain
+
+    def test_header_without_data_column_is_data_error(self, data_path, tmp_path, capsys):
+        model, data = tmp_path / "model.json", tmp_path / "stamps.csv"
+        assert run(self.train_args(data_path, model)) == 0
+        data.write_text("ts\n1\n2\n3\n")
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model), "--data", str(data), "--timestamp", "ts"]) == 2
+        assert "names no data column" in capsys.readouterr().err
+
     def test_quantize_needs_data_or_ranges(self, data_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run(self.train_args(data_path, model)) == 0

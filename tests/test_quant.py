@@ -22,6 +22,7 @@ from mixprec.quant import (
     quantize,
     requantize,
     round_half_away,
+    rounding_shift,
 )
 
 
@@ -140,7 +141,50 @@ class TestQuantizeDequantize:
             QuantizedTensor(data=np.array([100]), params=p)
 
 
+def exact_rounding_shift(p: int, s: int) -> int:
+    """p / 2**s rounded half away from zero, in Python integers."""
+    q, r = divmod(abs(p), 1 << s)
+    q += 2 * r >= (1 << s)
+    return q if p >= 0 else -q
+
+
+@st.composite
+def products_and_shifts(draw):
+    s = draw(st.integers(0, 62))
+    p = draw(st.integers(-(2**62), 2**62))
+    if s and draw(st.booleans()):  # move p onto a tie, exactly halfway between multiples
+        p = (p >> s << s) + (1 << (s - 1))
+        if p > 2**62:
+            p -= 1 << s
+    return p, s
+
+
+class TestRoundingShift:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(products_and_shifts(), min_size=1, max_size=20))
+    def test_matches_exact_integer_rounding(self, pairs):
+        p = np.array([p for p, _ in pairs], dtype=np.int64)
+        s = np.array([s for _, s in pairs], dtype=np.int64)
+        expected = [exact_rounding_shift(int(a), int(b)) for a, b in pairs]
+        assert rounding_shift(p, s).tolist() == expected  # per-element shifts
+        for i, (_, shift) in enumerate(pairs):  # one scalar shift for the whole array
+            assert rounding_shift(p, shift)[i] == expected[i]
+
+    def test_shift_zero_is_identity(self):
+        p = np.array([-(2**62), -3, -1, 0, 1, 2**62], dtype=np.int64)
+        assert np.array_equal(rounding_shift(p, 0), p)
+        assert np.array_equal(rounding_shift(p, np.zeros_like(p)), p)
+
+
 class TestRequantizer:
+    def test_guard_rejects_accumulators_outside_31_bits(self):
+        r = make_requantizer(1.0, 2.0**20)
+        for acc in (2**31, -(2**31)):
+            with pytest.raises(AssertionError, match="32-bit"):
+                requantize(np.array([0, acc]), r, out_zero_point=0, out_bitwidth=8)
+        for acc in (2**31 - 1, -(2**31 - 1)):
+            assert requantize(acc, r, out_zero_point=0, out_bitwidth=16) == round(acc / 2**20)
+
     def test_unit_ratio_maps_to_zero_point_offset(self):
         r = make_requantizer(0.5, 0.5)
         for k in (-7, 0, 3):
