@@ -210,15 +210,13 @@ def cmd_search(args) -> int:
         top_k=args.top,
         candidates=candidates,
         opts=_estimate_options(args),
-        threads=args.threads,
     )
     if args.histogram:
         from .search import filter_candidates, enumerate_all
 
         kind = ResourceKind(args.histogram)
         filtered = filter_candidates(
-            db, args.n, candidates or enumerate_all(), thresholds, _estimate_options(args),
-            threads=args.threads,
+            db, args.n, candidates or enumerate_all(), thresholds, _estimate_options(args)
         )
         print("bin_low,bin_high,count")
         for lo, hi, count in histogram(filtered, kind, bins=args.bins):
@@ -341,7 +339,7 @@ def cmd_pipeline(args) -> int:
     try:
         db = load(args.kb)
         thresholds = Thresholds.of(args.t_luts, args.t_dram, args.t_bram, args.t_dsps)
-        result = search(db, args.n, thresholds, top_k=args.top, threads=args.threads)
+        result = search(db, args.n, thresholds, top_k=args.top)
 
         stage = "dataset"
         _resolve_target(args)
@@ -431,11 +429,8 @@ def build_parser() -> _CliArgumentParser:
                         version=f"mixprec {__version__} (kb schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag=True):
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=42)
+    def common(p):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     kb = sub.add_parser("kb", help="knowledge database operations")
     kb_sub = kb.add_subparsers(dest="kb_command", required=True)
@@ -488,6 +483,7 @@ def build_parser() -> _CliArgumentParser:
         p.add_argument("--patience", type=int, default=10)
         p.add_argument("--batch-size", type=int, default=256)
         p.add_argument("--lr", type=float, default=0.001)
+        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("train", help="train a forecasting model")
     training_flags(p)

@@ -3,8 +3,9 @@
 Architecture: input projection plus a fixed sinusoidal positional table, one
 encoder layer (self-attention and a feed-forward block, each followed by a
 residual add and batch normalization), global average pooling over time, and
-an output projection. The float forward pass here is the training and
-calibration reference; the quantized paths live in ``quantized.py``.
+an output projection. ``Dataflow`` writes the graph once; the float forward
+interprets it with plain arithmetic, and ``quantized.py`` reinterprets it for
+fake quantization and calibration (the integer path is written separately).
 """
 
 from __future__ import annotations
@@ -196,6 +197,95 @@ def _bn_forward(x: np.ndarray, model: FloatModel, prefix: str, mode: str, cache:
     return gamma * xhat + beta
 
 
+class Dataflow:
+    """The encoder graph, written once.
+
+    ``run`` names every activation junction and passes each value through a
+    hook. Here every hook is plain float arithmetic; subclasses reinterpret
+    the same graph by overriding hooks (fake quantization snaps values to
+    grids, calibration records ranges). The cache ``run`` returns feeds
+    ``training.backward``, which reads straight-through masks from
+    ``cache["masks"]`` where a subclass recorded them.
+    """
+
+    def __init__(self, model: FloatModel):
+        self.model = model
+        self.masks: dict[str, np.ndarray] = {}
+        self.cache: dict = {"masks": self.masks}
+
+    def act(self, junction: str, value: np.ndarray) -> np.ndarray:
+        return value
+
+    def weight(self, name: str) -> np.ndarray:
+        return self.model.params[f"{name}.weight"]
+
+    def bias(self, name: str) -> np.ndarray:
+        return self.model.params[f"{name}.bias"]
+
+    def pos_encoding(self) -> np.ndarray:
+        return self.model.params["pos_encoding"]
+
+    def linear(self, name: str, x: np.ndarray) -> np.ndarray:
+        w = self.weight(name)
+        b = self.bias(name)
+        self.cache[f"dq:{name}.weight"] = w
+        return x @ w + b
+
+    def residual_add(
+        self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
+    ) -> np.ndarray:
+        return self.act(out_junction, x1 + x2)
+
+    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
+        return _bn_forward(x, self.model, prefix, mode, self.cache)
+
+    def run(self, X: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        X = np.asarray(X, dtype=np.float64)
+        single = X.ndim == 2
+        if single:
+            X = X[None]
+        cfg = self.model.config
+        if X.shape[1:] != (cfg.seq_len, cfg.input_dim):
+            raise ValueError(
+                f"input shape {X.shape[1:]} does not match (seq_len, input_dim) = "
+                f"({cfg.seq_len}, {cfg.input_dim})"
+            )
+
+        x0 = self.act("input", X)
+        h = self.act("l_input.out", self.linear("l_input", x0))
+        pe = np.broadcast_to(self.pos_encoding(), h.shape)
+        xe = self.residual_add("add_pe", h, pe, "add_pe.out")
+
+        q = self.act("mha.q", self.linear("mha.wq", xe))
+        k = self.act("mha.k", self.linear("mha.wk", xe))
+        v = self.act("mha.v", self.linear("mha.wv", xe))
+        s = self.act("mha.scores", (q @ k.transpose(0, 2, 1)) / math.sqrt(cfg.d_model))
+        p_float = softmax(s)
+        p = self.act("mha.probs", p_float)
+        ctx = self.act("mha.context", p @ v)
+        mo = self.act("mha.out", self.linear("mha.wo", ctx))
+        r1 = self.residual_add("add_mha", xe, mo, "add_mha.out")
+        a = self.act("bn_mha.out", self.bn("bn_mha", r1, mode))
+
+        f1_pre = self.linear("ffn.w1", a)
+        f1 = self.act("ffn.hidden", np.maximum(f1_pre, 0.0))
+        f2 = self.act("ffn.out", self.linear("ffn.w2", f1))
+        r2 = self.residual_add("add_ffn", a, f2, "add_ffn.out")
+        f = self.act("bn_ffn.out", self.bn("bn_ffn", r2, mode))
+
+        g = self.act("gap.out", f.mean(axis=1))
+        y = self.act("output", self.linear("l_output", g))
+
+        self.cache.update(
+            X=X, x0=x0, H=h, Xe=xe, Q=q, K=k, V=v, S=s, P_float=p_float, P=p,
+            ctx=ctx, mha_out=mo, R1=r1, A=a, F1_pre=f1_pre, F1=f1, F2=f2,
+            R2=r2, F=f, g=g, Y=y, mode=mode,
+        )
+        return (y[0] if single else y), self.cache
+
+
 def forward_float(
     model: FloatModel, X: np.ndarray, mode: str = "eval"
 ) -> tuple[np.ndarray, dict]:
@@ -205,50 +295,7 @@ def forward_float(
     output matches (output_dim,) or (batch, output_dim). Returns the output
     and a cache of intermediates for backpropagation.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 2
-    if single:
-        X = X[None]
-    cfg = model.config
-    if X.shape[1:] != (cfg.seq_len, cfg.input_dim):
-        raise ValueError(
-            f"input shape {X.shape[1:]} does not match (seq_len, input_dim) = "
-            f"({cfg.seq_len}, {cfg.input_dim})"
-        )
-    p = model.params
-    cache: dict = {"X": X, "mode": mode}
-
-    H = X @ p["l_input.weight"] + p["l_input.bias"]
-    Xe = H + p["pos_encoding"]
-
-    Q = Xe @ p["mha.wq.weight"] + p["mha.wq.bias"]
-    K = Xe @ p["mha.wk.weight"] + p["mha.wk.bias"]
-    V = Xe @ p["mha.wv.weight"] + p["mha.wv.bias"]
-    S = (Q @ K.transpose(0, 2, 1)) / math.sqrt(cfg.d_model)
-    P = softmax(S)
-    ctx = P @ V
-    mha_out = ctx @ p["mha.wo.weight"] + p["mha.wo.bias"]
-
-    R1 = Xe + mha_out
-    A = _bn_forward(R1, model, "bn_mha", mode, cache)
-
-    F1_pre = A @ p["ffn.w1.weight"] + p["ffn.w1.bias"]
-    F1 = np.maximum(F1_pre, 0.0)
-    F2 = F1 @ p["ffn.w2.weight"] + p["ffn.w2.bias"]
-
-    R2 = A + F2
-    F = _bn_forward(R2, model, "bn_ffn", mode, cache)
-
-    g = F.mean(axis=1)
-    Y = g @ p["l_output.weight"] + p["l_output.bias"]
-
-    cache.update(
-        H=H, Xe=Xe, Q=Q, K=K, V=V, S=S, P=P, ctx=ctx, mha_out=mha_out,
-        R1=R1, A=A, F1_pre=F1_pre, F1=F1, F2=F2, R2=R2, F=F, g=g, Y=Y,
-    )
-    return (Y[0] if single else Y), cache
+    return Dataflow(model).run(X, mode)
 
 
 # --- model file envelope ------------------------------------------------------
@@ -329,5 +376,8 @@ def load_model(path: str | Path):
         act_params = {
             name: QuantParams.from_dict(d) for name, d in doc["junctions"].items()
         }
-        return build_quantized(config, combo, tensors, bn_folds, act_params)
+        try:
+            return build_quantized(config, combo, tensors, bn_folds, act_params)
+        except ValueError as e:
+            raise type(e)(f"{path}: {e}") from e
     raise ValueError(f"{path}: unknown model kind {kind!r}")

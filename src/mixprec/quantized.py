@@ -1,7 +1,8 @@
 """Quantized execution: calibration, fake-quant simulation, integer inference.
 
-The fake-quant path runs the float dataflow with quantize-dequantize inserted
-at every tensor the cascade plan quantizes; the integer path performs the
+Calibration and the fake-quant path interpret ``model.Dataflow``: the first
+records each junction's range, the second inserts quantize-dequantize at
+every tensor the cascade plan quantizes. The integer path performs the
 same computation with integer arithmetic only, rescaling between grids
 through fixed-point requantizers. Both paths share grids and rounding, so
 they agree to the last integer step except where the integer exponential
@@ -29,14 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import training
 from .components import BitwidthCombination, ComponentId
 from .model import (
-    BN_EPS,
+    Dataflow,
     FloatModel,
     ModelConfig,
     fold_bn,
     forward_float,
-    softmax,
     tensor_shapes,
 )
 from .quant import (
@@ -81,16 +82,18 @@ JUNCTION_COMPONENT: dict[str, ComponentId] = {
 
 UNSIGNED_JUNCTIONS = {"mha.probs", "ffn.hidden"}
 
-# Which junction feeds each linear layer (determines the bias grid).
-LINEAR_INPUT_JUNCTION = {
-    "l_input": "input",
-    "mha.wq": "add_pe.out",
-    "mha.wk": "add_pe.out",
-    "mha.wv": "add_pe.out",
-    "mha.wo": "mha.context",
-    "ffn.w1": "bn_mha.out",
-    "ffn.w2": "ffn.hidden",
-    "l_output": "gap.out",
+# Each linear layer: (the junction that feeds it, which with the weight grid
+# fixes the bias grid; the junction it produces, whose grid its requantizer
+# targets).
+LINEARS = {
+    "l_input": ("input", "l_input.out"),
+    "mha.wq": ("add_pe.out", "mha.q"),
+    "mha.wk": ("add_pe.out", "mha.k"),
+    "mha.wv": ("add_pe.out", "mha.v"),
+    "mha.wo": ("mha.context", "mha.out"),
+    "ffn.w1": ("bn_mha.out", "ffn.hidden"),
+    "ffn.w2": ("ffn.hidden", "ffn.out"),
+    "l_output": ("gap.out", "output"),
 }
 
 # Weight tensors and the component whose bitwidth quantizes them.
@@ -104,28 +107,6 @@ WEIGHT_COMPONENT = {
     "ffn.w1.weight": ComponentId.FFN,
     "ffn.w2.weight": ComponentId.FFN,
     "l_output.weight": ComponentId.L_OUTPUT,
-}
-
-# Float-cache tensor observed for each junction during calibration.
-JUNCTION_CACHE_KEY = {
-    "input": "X",
-    "l_input.out": "H",
-    "add_pe.out": "Xe",
-    "mha.q": "Q",
-    "mha.k": "K",
-    "mha.v": "V",
-    "mha.scores": "S",
-    "mha.probs": "P",
-    "mha.context": "ctx",
-    "mha.out": "mha_out",
-    "add_mha.out": "R1",
-    "bn_mha.out": "A",
-    "ffn.hidden": "F1",
-    "ffn.out": "F2",
-    "add_ffn.out": "R2",
-    "bn_ffn.out": "F",
-    "gap.out": "g",
-    "output": "Y",
 }
 
 
@@ -149,17 +130,23 @@ def junction_bitwidth(plan: CascadePlan, junction: str) -> int:
     return plan[JUNCTION_COMPONENT[junction]].output_bitwidth
 
 
+class _RangeRecorder(Dataflow):
+    """The float dataflow, recording each junction's (min, max)."""
+
+    def __init__(self, model: FloatModel):
+        super().__init__(model)
+        self.ranges: dict[str, tuple[float, float]] = {}
+
+    def act(self, junction: str, value: np.ndarray) -> np.ndarray:
+        self.ranges[junction] = (float(value.min()), float(value.max()))
+        return value
+
+
 def collect_ranges(model: FloatModel, X: np.ndarray) -> dict[str, tuple[float, float]]:
     """Observed (min, max) per junction from a float forward over a batch."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[None]
-    _, cache = forward_float(model, X, mode="eval")
-    ranges = {}
-    for junction, key in JUNCTION_CACHE_KEY.items():
-        t = cache[key]
-        ranges[junction] = (float(t.min()), float(t.max()))
-    return ranges
+    recorder = _RangeRecorder(model)
+    recorder.run(X, mode="eval")
+    return recorder.ranges
 
 
 def calibration_from_ranges(
@@ -195,29 +182,12 @@ def _weight_params(model: FloatModel, plan: CascadePlan) -> dict[str, QuantParam
     return out
 
 
-def _bias_params(
-    name: str, act_params: dict[str, QuantParams], weight_params: dict[str, QuantParams]
-) -> QuantParams:
-    x = act_params[LINEAR_INPUT_JUNCTION[name]]
-    w = weight_params[f"{name}.weight"]
-    return derive_bias_params(x, w)
-
-
 def _assert_accumulator_bound(config: ModelConfig, plan: CascadePlan) -> None:
     """Worst-case |acc| must stay inside 32 bits for every integer matmul."""
-    d, m, n = config.d_model, config.input_dim, config.seq_len
-    fan_ins = {
-        "l_input": m,
-        "mha.wq": d,
-        "mha.wk": d,
-        "mha.wv": d,
-        "mha.wo": d,
-        "ffn.w1": d,
-        "ffn.w2": config.ffn_dim,
-        "l_output": d,
-    }
-    for name, fan_in in fan_ins.items():
-        junction = LINEAR_INPUT_JUNCTION[name]
+    d, n = config.d_model, config.seq_len
+    shapes = tensor_shapes(config)
+    for name, (junction, _) in LINEARS.items():
+        fan_in = shapes[f"{name}.weight"][0]
         bx = junction_bitwidth(plan, junction)
         comp = WEIGHT_COMPONENT[f"{name}.weight"]
         bw = plan[comp].weight_bitwidth
@@ -348,16 +318,7 @@ def _build_runtime(qm: QuantizedModel) -> None:
     rt = qm.runtime
     d = qm.config.d_model
 
-    for name, out_junction in (
-        ("l_input", "l_input.out"),
-        ("mha.wq", "mha.q"),
-        ("mha.wk", "mha.k"),
-        ("mha.wv", "mha.v"),
-        ("mha.wo", "mha.out"),
-        ("ffn.w1", "ffn.hidden"),
-        ("ffn.w2", "ffn.out"),
-        ("l_output", "output"),
-    ):
+    for name, (_, out_junction) in LINEARS.items():
         s_acc = qm.tensors[f"{name}.bias"].params.scale  # = s_x * s_w
         rt.linear[name] = make_requantizer(s_acc, act[out_junction].scale)
         w = qm.tensors[f"{name}.weight"]
@@ -395,6 +356,62 @@ def _build_runtime(qm: QuantizedModel) -> None:
         )
 
 
+def _check_grid(what: str, params: QuantParams, bitwidth: int, signed: bool) -> None:
+    def describe(bits: int, is_signed: bool) -> str:
+        return f"{bits}-bit {'signed' if is_signed else 'unsigned'}"
+
+    if (params.bitwidth, params.signed) != (bitwidth, signed):
+        raise ValueError(
+            f"{what}: {describe(params.bitwidth, params.signed)} grid, "
+            f"the cascade plan gives {describe(bitwidth, signed)}"
+        )
+
+
+def _check_stored(
+    config: ModelConfig,
+    plan: CascadePlan,
+    tensors: dict[str, QuantizedTensor],
+    bn_folds: dict[str, np.ndarray],
+    act_params: dict[str, QuantParams],
+) -> None:
+    """Stored shapes and grids must be the ones the config and the plan give:
+    ``_assert_accumulator_bound`` proves |acc| < 2**31 for those grids only."""
+    for junction in JUNCTION_COMPONENT:
+        if junction not in act_params:
+            raise CalibrationError(f"no calibration for junction {junction!r}")
+        _check_grid(
+            f"junction {junction!r}",
+            act_params[junction],
+            junction_bitwidth(plan, junction),
+            junction not in UNSIGNED_JUNCTIONS,
+        )
+    grids = [*WEIGHT_COMPONENT, *(f"{name}.bias" for name in LINEARS)]
+    folds = [f"{prefix}.fold_{ab}" for prefix in ("bn_mha", "bn_ffn") for ab in "ab"]
+    for store, names in ((tensors, grids), (bn_folds, folds)):
+        for name in names:
+            if name not in store:
+                raise ValueError(f"missing tensor {name!r}")
+        extra = sorted(set(store) - set(names))
+        if extra:
+            raise ValueError(f"unexpected tensor {extra[0]!r}")
+    shapes = tensor_shapes(config) | {name: (config.d_model,) for name in folds}
+    stored = {name: t.data for name, t in tensors.items()} | bn_folds
+    for name, data in stored.items():
+        if data.shape != shapes[name]:
+            raise ValueError(
+                f"tensor {name!r}: shape {list(data.shape)}, expected {list(shapes[name])}"
+            )
+    for name in grids:
+        if name in WEIGHT_COMPONENT:
+            bits, signed = plan[WEIGHT_COMPONENT[name]].weight_bitwidth, True
+        else:
+            layer = name.removesuffix(".bias")
+            x_params = act_params[LINEARS[layer][0]]
+            bias = derive_bias_params(x_params, tensors[f"{layer}.weight"].params)
+            bits, signed = bias.bitwidth, bias.signed
+        _check_grid(f"tensor {name!r}", tensors[name].params, bits, signed)
+
+
 def build_quantized(
     config: ModelConfig,
     combo: BitwidthCombination,
@@ -405,9 +422,7 @@ def build_quantized(
     """Assemble a quantized model from its stored pieces (used by file load)."""
     plan = plan_cascade(combo)
     _assert_accumulator_bound(config, plan)
-    for junction in JUNCTION_COMPONENT:
-        if junction not in act_params:
-            raise CalibrationError(f"no calibration for junction {junction!r}")
+    _check_stored(config, plan, tensors, bn_folds, act_params)
     qm = QuantizedModel(
         config=config,
         combo=combo,
@@ -444,8 +459,8 @@ def quantize_model(
     tensors: dict[str, QuantizedTensor] = {}
     for name, wp in weight_params.items():
         tensors[name] = quantize(model.params[name], wp)
-    for name in LINEAR_INPUT_JUNCTION:
-        bp = _bias_params(name, calib.activations, weight_params)
+    for name, (junction, _) in LINEARS.items():
+        bp = derive_bias_params(calib.activations[junction], weight_params[f"{name}.weight"])
         tensors[f"{name}.bias"] = quantize(model.params[f"{name}.bias"], bp)
 
     bn_folds = {}
@@ -584,8 +599,8 @@ def _forward_batch(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
 # --- fake-quant forward -------------------------------------------------------
 
 
-class _FakeEngine:
-    """Float dataflow with grid snapping at every planned junction.
+class _FakeEngine(Dataflow):
+    """The float dataflow with grid snapping at every planned junction.
 
     ``provider(junction, value)`` returns the junction's QuantParams (and may
     observe ``value`` to update running ranges during QAT). In surrogate mode
@@ -601,12 +616,10 @@ class _FakeEngine:
         provider,
         surrogate: bool = False,
     ):
-        self.model = model
+        super().__init__(model)
         self.plan = plan
         self.provider = provider
         self.surrogate = surrogate
-        self.masks: dict[str, np.ndarray] = {}
-        self.cache: dict = {"masks": self.masks}
         self.weight_params = _weight_params(model, plan)
 
     def _snap(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
@@ -624,20 +637,18 @@ class _FakeEngine:
 
     def weight(self, name: str) -> np.ndarray:
         params = self.weight_params[f"{name}.weight"]
-        return self._snap(self.model.params[f"{name}.weight"], params, f"w:{name}")
+        return self._snap(super().weight(name), params, f"w:{name}")
 
     def bias(self, name: str) -> np.ndarray:
         # the feeding junction is always computed (hence observed) before the
         # linear that consumes it, so its parameters are available here
-        x_params = self.provider(LINEAR_INPUT_JUNCTION[name], None)
+        x_params = self.provider(LINEARS[name][0], None)
         params = derive_bias_params(x_params, self.weight_params[f"{name}.weight"])
-        return self._snap(self.model.params[f"{name}.bias"], params, f"b:{name}")
+        return self._snap(super().bias(name), params, f"b:{name}")
 
-    def linear(self, name: str, x: np.ndarray, out_junction: str) -> np.ndarray:
-        w = self.weight(name)
-        b = self.bias(name)
-        self.cache[f"dq:{name}.weight"] = w
-        return self.act(out_junction, x @ w + b)
+    def pos_encoding(self) -> np.ndarray:
+        params = self.weight_params["pos_encoding"]
+        return self._snap(super().pos_encoding(), params, "w:pos_encoding")
 
     def residual_add(
         self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
@@ -650,78 +661,19 @@ class _FakeEngine:
         self.masks[out_junction] = (total >= lo) & (total <= hi)
         return np.clip(total, lo, hi)
 
-    def bn(self, prefix: str, x: np.ndarray, mode: str, out_junction: str) -> np.ndarray:
-        p = self.model.params
+    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":
-            from .model import _bn_forward
-
-            y = _bn_forward(x, self.model, prefix, "train", self.cache)
-        else:
-            a, b = fold_bn(
-                p[f"{prefix}.gamma"],
-                p[f"{prefix}.beta"],
-                p[f"{prefix}.running_mean"],
-                p[f"{prefix}.running_var"],
-            )
-            y = a * x + b
-        return self.act(out_junction, y)
-
-    def run(self, X: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 2
-        if single:
-            X = X[None]
-        cfg = self.model.config
-        if X.shape[1:] != (cfg.seq_len, cfg.input_dim):
-            raise ValueError(f"input shape {X.shape[1:]} does not match the model config")
-        c = self.cache
-
-        x0 = self.act("input", X)
-        h = self.linear("l_input", x0, "l_input.out")
-        pe = self._snap(
-            self.model.params["pos_encoding"], self.weight_params["pos_encoding"], "w:pos_encoding"
+            return super().bn(prefix, x, mode)
+        # the folded form a*x + b, not the float normalize-then-scale: these
+        # are the constants the integer path requantizes with
+        p = self.model.params
+        a, b = fold_bn(
+            p[f"{prefix}.gamma"],
+            p[f"{prefix}.beta"],
+            p[f"{prefix}.running_mean"],
+            p[f"{prefix}.running_var"],
         )
-        c["dq:pos_encoding"] = pe
-        xe = self.residual_add("add_pe", h, np.broadcast_to(pe, h.shape), "add_pe.out")
-
-        q = self.linear("mha.wq", xe, "mha.q")
-        k = self.linear("mha.wk", xe, "mha.k")
-        v = self.linear("mha.wv", xe, "mha.v")
-        s_raw = (q @ k.transpose(0, 2, 1)) / math.sqrt(cfg.d_model)
-        s = self.act("mha.scores", s_raw)
-        p_float = softmax(s)
-        p = self.act("mha.probs", p_float)
-        ctx = self.act("mha.context", p @ v)
-        mo = self.linear("mha.wo", ctx, "mha.out")
-        r1 = self.residual_add("add_mha", xe, mo, "add_mha.out")
-        a = self.bn("bn_mha", r1, mode, "bn_mha.out")
-
-        w1 = self.weight("ffn.w1")
-        b1 = self.bias("ffn.w1")
-        c["dq:ffn.w1.weight"] = w1
-        f1_pre = a @ w1 + b1
-        f1 = self.act("ffn.hidden", np.maximum(f1_pre, 0.0))
-        f2 = self.linear("ffn.w2", f1, "ffn.out")
-        r2 = self.residual_add("add_ffn", a, f2, "add_ffn.out")
-        f = self.bn("bn_ffn", r2, mode, "bn_ffn.out")
-
-        g = self.act("gap.out", f.mean(axis=1))
-        y = self.linear("l_output", g, "output")
-
-        c.update(
-            X=X, x0=x0, H=h, Xe=xe, Q=q, K=k, V=v, S=s, P_float=p_float, P=p,
-            ctx=ctx, mha_out=mo, R1=r1, A=a, F1_pre=f1_pre, F1=f1, F2=f2,
-            R2=r2, F=f, g=g, Y=y, mode=mode,
-        )
-        return (y[0] if single else y), c
-
-
-class _StaticProvider:
-    def __init__(self, calib: CalibrationSet):
-        self.calib = calib
-
-    def __call__(self, junction: str, value) -> QuantParams:
-        return self.calib.require(junction)
+        return a * x + b
 
 
 def forward_fake_quant(
@@ -740,109 +692,11 @@ def forward_fake_quant(
     if calib is None:
         raise CalibrationError("fake-quant forward requires calibration parameters")
     plan = plan_cascade(combo)
-    engine = _FakeEngine(model, plan, _StaticProvider(calib))
+    engine = _FakeEngine(model, plan, lambda junction, _: calib.require(junction))
     return engine.run(X, mode="eval")[0]
 
 
 # --- quantization-aware training ----------------------------------------------
-
-
-def fake_backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
-    """Straight-through gradients for a train-mode fake-quant forward.
-
-    Every quantize-dequantize (and add clamp) contributes its recorded
-    inside-range mask; rounding is treated as identity. The structure mirrors
-    _FakeEngine.run in reverse.
-    """
-    from .training import _bn_backward
-
-    p = model.params
-    masks = cache["masks"]
-    d = model.config.d_model
-    n = model.config.seq_len
-    grads: dict[str, np.ndarray] = {}
-    dY = np.asarray(dY, dtype=np.float64)
-    if dY.ndim == 1:
-        dY = dY[None]
-
-    def linear_back(name: str, x_in: np.ndarray, d_pre: np.ndarray, spec: str) -> np.ndarray:
-        grads[f"{name}.weight"] = np.einsum(spec, x_in, d_pre) * masks[f"w:{name}"]
-        axes = tuple(range(d_pre.ndim - 1))
-        grads[f"{name}.bias"] = d_pre.sum(axis=axes) * masks[f"b:{name}"]
-        return d_pre @ cache[f"dq:{name}.weight"].T
-
-    dy = dY * masks["output"]
-    dg = linear_back("l_output", cache["g"], dy, "bd,bo->do")
-
-    dg = dg * masks["gap.out"]
-    dF = np.repeat(dg[:, None, :], n, axis=1) / n
-
-    dF = dF * masks["bn_ffn.out"]
-    dR2, grads["bn_ffn.gamma"], grads["bn_ffn.beta"] = _bn_backward(
-        dF, cache["bn_ffn"], p["bn_ffn.gamma"]
-    )
-
-    dR2 = dR2 * masks["add_ffn.out"]
-    dA = dR2 * masks["add_ffn.a1"]
-    dF2 = dR2 * masks["add_ffn.a2"]
-
-    dF2 = dF2 * masks["ffn.out"]
-    dF1 = linear_back("ffn.w2", cache["F1"], dF2, "bnf,bnd->fd")
-
-    dF1 = dF1 * masks["ffn.hidden"]
-    d_pre1 = dF1 * (cache["F1_pre"] > 0)
-    grads["ffn.w1.weight"] = np.einsum("bnd,bnf->df", cache["A"], d_pre1) * masks["w:ffn.w1"]
-    grads["ffn.w1.bias"] = d_pre1.sum(axis=(0, 1)) * masks["b:ffn.w1"]
-    dA = dA + d_pre1 @ cache["dq:ffn.w1.weight"].T
-
-    dA = dA * masks["bn_mha.out"]
-    dR1, grads["bn_mha.gamma"], grads["bn_mha.beta"] = _bn_backward(
-        dA, cache["bn_mha"], p["bn_mha.gamma"]
-    )
-
-    dR1 = dR1 * masks["add_mha.out"]
-    dXe = dR1 * masks["add_mha.a1"]
-    dMo = dR1 * masks["add_mha.a2"]
-
-    dMo = dMo * masks["mha.out"]
-    d_ctx = linear_back("mha.wo", cache["ctx"], dMo, "bnd,bne->de")
-
-    d_ctx = d_ctx * masks["mha.context"]
-    P, V = cache["P"], cache["V"]
-    dP = d_ctx @ V.transpose(0, 2, 1)
-    dV = P.transpose(0, 2, 1) @ d_ctx
-
-    dP = dP * masks["mha.probs"]
-    Pf = cache["P_float"]
-    dS = Pf * (dP - (dP * Pf).sum(axis=-1, keepdims=True))
-
-    dS = dS * masks["mha.scores"]
-    scale = 1.0 / math.sqrt(d)
-    Q, K = cache["Q"], cache["K"]
-    dQ = (dS @ K) * scale
-    dK = (dS.transpose(0, 2, 1) @ Q) * scale
-
-    Xe = cache["Xe"]
-    for name, junction, dT in (
-        ("mha.wq", "mha.q", dQ),
-        ("mha.wk", "mha.k", dK),
-        ("mha.wv", "mha.v", dV),
-    ):
-        d_pre = dT * masks[junction]
-        dXe = dXe + linear_back(name, Xe, d_pre, "bnd,bne->de")
-
-    dXe = dXe * masks["add_pe.out"]
-    dH = dXe * masks["add_pe.a1"]
-    d_pe = dXe * masks["add_pe.a2"]
-    grads["pos_encoding"] = (d_pe * masks["w:pos_encoding"]).sum(axis=0)
-
-    dH = dH * masks["l_input.out"]
-    linear_back("l_input", cache["x0"], dH, "bnm,bnd->md")
-
-    for prefix in ("bn_mha", "bn_ffn"):
-        grads[f"{prefix}.running_mean"] = np.zeros(d)
-        grads[f"{prefix}.running_var"] = np.zeros(d)
-    return grads
 
 
 class _EmaProvider:
@@ -909,13 +763,10 @@ class QatContext:
         return engine.run(X, mode="eval")[0]
 
     def backward(self, model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
-        return fake_backward(model, cache, dY)
+        return training.backward(model, cache, dY)
 
     def snapshot_ranges(self) -> dict[str, tuple[float, float]]:
         return dict(self.ranges)
 
     def restore_ranges(self, snapshot: dict[str, tuple[float, float]]) -> None:
         self.ranges = dict(snapshot)
-
-    def frozen_ranges(self) -> dict[str, tuple[float, float]]:
-        return dict(self.ranges)

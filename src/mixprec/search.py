@@ -13,7 +13,6 @@ the scalar estimator agree bit for bit.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -191,7 +190,7 @@ def _scaled_tables(
     return places, key_tables, overhead_totals, threshold_row
 
 
-def _sweep_chunk(
+def _sweep(
     idx: np.ndarray,
     places: int,
     key_tables: dict,
@@ -199,7 +198,7 @@ def _sweep_chunk(
     threshold_row: np.ndarray,
     opts: EstimateOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate one chunk of candidates; returns (pass mask, (k, 4) scaled sums)."""
+    """Estimate every candidate; returns (pass mask, (k, 4) scaled sums)."""
     comp_axis = np.arange(NUM_KEY_COMPONENTS)
     sums = np.empty((idx.shape[0], len(RESOURCE_ORDER)), dtype=np.int64)
     for j, kind in enumerate(RESOURCE_ORDER):
@@ -233,7 +232,6 @@ def filter_candidates(
     candidates: CandidateSet,
     thresholds: Thresholds,
     opts: EstimateOptions = EstimateOptions(),
-    threads: int = 1,
 ) -> list[ScoredCandidate]:
     """Keep candidates whose estimate meets all four thresholds, in input order."""
     if seq_len not in db.seq_lens:
@@ -247,21 +245,7 @@ def filter_candidates(
         db, seq_len, thresholds, opts
     )
 
-    if threads <= 1 or len(candidates) < 2048:
-        chunks = [idx]
-    else:
-        chunks = np.array_split(idx, threads * 4)
-
-    def run(chunk: np.ndarray):
-        return _sweep_chunk(chunk, places, key_tables, overhead_totals, threshold_row, opts)
-
-    if len(chunks) == 1:
-        parts = [run(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    mask = np.concatenate([m for m, _ in parts])
-    sums = np.concatenate([s for _, s in parts])
+    mask, sums = _sweep(idx, places, key_tables, overhead_totals, threshold_row, opts)
 
     result: list[ScoredCandidate] = []
     combos = candidates.combos
@@ -301,13 +285,12 @@ def search(
     top_k: int = 5,
     candidates: CandidateSet | None = None,
     opts: EstimateOptions = EstimateOptions(),
-    threads: int = 1,
 ) -> SearchResult:
     """Full sweep: enumerate (or take given candidates), filter, rank, select."""
     start = time.perf_counter()
     if candidates is None:
         candidates = enumerate_all()
-    filtered = filter_candidates(db, seq_len, candidates, thresholds, opts, threads=threads)
+    filtered = filter_candidates(db, seq_len, candidates, thresholds, opts)
     result = select_top(filtered, top_k, total_count=len(candidates))
     return SearchResult(
         selected=result.selected,

@@ -89,13 +89,19 @@ def _bn_backward(d_out: np.ndarray, bn_cache: dict, gamma: np.ndarray):
 
 
 def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every parameter tensor for the float forward pass.
+    """Straight-through gradients of every parameter tensor for a forward
+    pass of ``model.Dataflow`` or any of its interpretations.
 
     ``dY`` is the loss gradient at the output, shape (batch, output_dim).
-    The positional table's gradient is computed too (it is simply excluded
-    from optimizer updates).
+    Every quantize-dequantize (and add clamp) the forward recorded in
+    ``cache["masks"]`` passes the gradient only where it was inside its
+    range; rounding counts as identity, and a junction with no mask (all of
+    them in the float forward) passes the gradient unchanged. The positional
+    table's gradient is computed too (it is simply excluded from optimizer
+    updates).
     """
     p = model.params
+    masks = cache["masks"]
     d = model.config.d_model
     n = model.config.seq_len
     grads: dict[str, np.ndarray] = {}
@@ -103,59 +109,56 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     if dY.ndim == 1:
         dY = dY[None]
 
-    g, F = cache["g"], cache["F"]
-    grads["l_output.weight"] = g.T @ dY
-    grads["l_output.bias"] = dY.sum(axis=0)
-    dg = dY @ p["l_output.weight"].T
+    def mask(key: str, grad: np.ndarray) -> np.ndarray:
+        return grad * masks[key] if key in masks else grad
 
-    dF = np.repeat(dg[:, None, :], n, axis=1) / n
+    def linear_back(name: str, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+        """Weight and bias gradients of ``x @ w + b``; returns the input's."""
+        if x.ndim == 2:
+            d_w = x.T @ d_out
+        else:
+            d_w = np.einsum("bni,bnj->ij", x, d_out)
+        grads[f"{name}.weight"] = mask(f"w:{name}", d_w)
+        d_b = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+        grads[f"{name}.bias"] = mask(f"b:{name}", d_b)
+        return d_out @ cache[f"dq:{name}.weight"].T
+
+    dg = linear_back("l_output", cache["g"], mask("output", dY))
+    dF = np.repeat(mask("gap.out", dg)[:, None, :], n, axis=1) / n
 
     dR2, grads["bn_ffn.gamma"], grads["bn_ffn.beta"] = _bn_backward(
-        dF, cache["bn_ffn"], p["bn_ffn.gamma"]
+        mask("bn_ffn.out", dF), cache["bn_ffn"], p["bn_ffn.gamma"]
     )
-
-    dA = dR2.copy()
-    dF2 = dR2
-    F1 = cache["F1"]
-    grads["ffn.w2.weight"] = np.einsum("bnf,bnd->fd", F1, dF2)
-    grads["ffn.w2.bias"] = dF2.sum(axis=(0, 1))
-    dF1 = dF2 @ p["ffn.w2.weight"].T
-    dF1_pre = dF1 * (cache["F1_pre"] > 0)
-    A = cache["A"]
-    grads["ffn.w1.weight"] = np.einsum("bnd,bnf->df", A, dF1_pre)
-    grads["ffn.w1.bias"] = dF1_pre.sum(axis=(0, 1))
-    dA += dF1_pre @ p["ffn.w1.weight"].T
+    dR2 = mask("add_ffn.out", dR2)
+    dA = mask("add_ffn.a1", dR2)
+    dF1 = linear_back("ffn.w2", cache["F1"], mask("ffn.out", mask("add_ffn.a2", dR2)))
+    dF1_pre = mask("ffn.hidden", dF1) * (cache["F1_pre"] > 0)
+    dA = dA + linear_back("ffn.w1", cache["A"], dF1_pre)
 
     dR1, grads["bn_mha.gamma"], grads["bn_mha.beta"] = _bn_backward(
-        dA, cache["bn_mha"], p["bn_mha.gamma"]
+        mask("bn_mha.out", dA), cache["bn_mha"], p["bn_mha.gamma"]
     )
+    dR1 = mask("add_mha.out", dR1)
+    dXe = mask("add_mha.a1", dR1)
+    d_ctx = linear_back("mha.wo", cache["ctx"], mask("mha.out", mask("add_mha.a2", dR1)))
 
-    dXe = dR1.copy()
-    d_mha = dR1
-    ctx = cache["ctx"]
-    grads["mha.wo.weight"] = np.einsum("bnd,bne->de", ctx, d_mha)
-    grads["mha.wo.bias"] = d_mha.sum(axis=(0, 1))
-    d_ctx = d_mha @ p["mha.wo.weight"].T
-
+    d_ctx = mask("mha.context", d_ctx)
     P, V, Q, K = cache["P"], cache["V"], cache["Q"], cache["K"]
-    dP = d_ctx @ V.transpose(0, 2, 1)
+    dP = mask("mha.probs", d_ctx @ V.transpose(0, 2, 1))
     dV = P.transpose(0, 2, 1) @ d_ctx
-    dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
+    Pf = cache["P_float"]
+    dS = mask("mha.scores", Pf * (dP - (dP * Pf).sum(axis=-1, keepdims=True)))
     scale = 1.0 / math.sqrt(d)
     dQ = (dS @ K) * scale
     dK = (dS.transpose(0, 2, 1) @ Q) * scale
 
-    Xe = cache["Xe"]
-    for name, dT in (("mha.wq", dQ), ("mha.wk", dK), ("mha.wv", dV)):
-        grads[f"{name}.weight"] = np.einsum("bnd,bne->de", Xe, dT)
-        grads[f"{name}.bias"] = dT.sum(axis=(0, 1))
-        dXe += dT @ p[f"{name}.weight"].T
+    for name, junction, dT in (("mha.wq", "mha.q", dQ), ("mha.wk", "mha.k", dK),
+                               ("mha.wv", "mha.v", dV)):
+        dXe = dXe + linear_back(name, cache["Xe"], mask(junction, dT))
 
-    grads["pos_encoding"] = dXe.sum(axis=0)
-    dH = dXe
-    X = cache["X"]
-    grads["l_input.weight"] = np.einsum("bnm,bnd->md", X, dH)
-    grads["l_input.bias"] = dH.sum(axis=(0, 1))
+    dXe = mask("add_pe.out", dXe)
+    grads["pos_encoding"] = mask("w:pos_encoding", mask("add_pe.a2", dXe)).sum(axis=0)
+    linear_back("l_input", cache["x0"], mask("l_input.out", mask("add_pe.a1", dXe)))
 
     # running statistics carry no gradient
     for prefix in ("bn_mha", "bn_ffn"):
@@ -214,12 +217,32 @@ def train(
     normalized units; the final 10% (time-ordered) is held out for early
     stopping.
     """
-    return _train_loop(model, dataset, cfg, fake_ctx=None)[:2]
+    return _train_loop(model, dataset, cfg, _FloatContext())[:2]
 
 
-def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, fake_ctx):
-    """Shared float/QAT loop. ``fake_ctx`` is None for plain training, else a
-    quantized.QatContext driving fake-quantized forwards and STE backwards."""
+class _FloatContext:
+    """Plain training: the float forward and backward, no activation ranges."""
+
+    def forward_train(self, model: FloatModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
+        return forward_float(model, X, mode="train")
+
+    def forward_eval(self, model: FloatModel, X: np.ndarray) -> np.ndarray:
+        return forward_float(model, X, mode="eval")[0]
+
+    def backward(self, model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
+        return backward(model, cache, dY)
+
+    def snapshot_ranges(self) -> None:
+        return None
+
+    def restore_ranges(self, snapshot: None) -> None:
+        pass
+
+
+def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
+    """Shared float/QAT loop. ``ctx`` runs the forward and backward passes:
+    a ``_FloatContext`` for plain training, or a quantized.QatContext for
+    fake-quantized forwards that track activation ranges."""
     X_all = np.asarray(dataset.train_X, dtype=np.float64)
     y_all = np.asarray(dataset.train_y, dtype=np.float64).reshape(len(X_all), -1)
     if X_all.shape[1:] != (model.config.seq_len, model.config.input_dim):
@@ -245,14 +268,8 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, fake_ctx):
         for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             Xb, yb = X_fit[idx], y_fit[idx]
-            if fake_ctx is None:
-                Y, cache = forward_float(model, Xb, mode="train")
-                dY = 2.0 * (Y - yb) / Y.size
-                grads = backward(model, cache, dY)
-            else:
-                Y, cache = fake_ctx.forward_train(model, Xb)
-                dY = 2.0 * (Y - yb) / Y.size
-                grads = fake_ctx.backward(model, cache, dY)
+            Y, cache = ctx.forward_train(model, Xb)
+            grads = ctx.backward(model, cache, 2.0 * (Y - yb) / Y.size)
             loss = mse(Y, yb)
             if not math.isfinite(loss):
                 raise RuntimeError(
@@ -263,11 +280,7 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, fake_ctx):
             epoch_sq_sum += loss * len(idx)
             seen += len(idx)
 
-        if fake_ctx is None:
-            val_pred, _ = forward_float(model, X_val, mode="eval")
-        else:
-            val_pred = fake_ctx.forward_eval(model, X_val)
-        val_loss = mse(val_pred, y_val)
+        val_loss = mse(ctx.forward_eval(model, X_val), y_val)
 
         report.train_losses.append(epoch_sq_sum / max(seen, 1))
         report.val_losses.append(val_loss)
@@ -277,7 +290,7 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, fake_ctx):
             report.best_val_loss = val_loss
             report.best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
-            best_ranges = fake_ctx.snapshot_ranges() if fake_ctx is not None else None
+            best_ranges = ctx.snapshot_ranges()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -289,9 +302,8 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, fake_ctx):
 
     if best_params is not None:
         model.params = best_params
-    if fake_ctx is not None and best_ranges is not None:
-        fake_ctx.restore_ranges(best_ranges)
-    return model, report, fake_ctx
+        ctx.restore_ranges(best_ranges)
+    return model, report, ctx
 
 
 def train_qat(model: FloatModel, dataset, cfg: TrainConfig):
@@ -302,10 +314,10 @@ def train_qat(model: FloatModel, dataset, cfg: TrainConfig):
     the EMA-tracked per-junction (min, max) pairs for final calibration.
     """
     if cfg.qat is None:
-        trained, report, _ = _train_loop(model, dataset, cfg, fake_ctx=None)
-        return trained, report, None
-    from .quantized import QatContext
+        ctx = _FloatContext()
+    else:
+        from .quantized import QatContext
 
-    ctx = QatContext(model.config, cfg.qat, ema_decay=cfg.qat_ema_decay)
-    trained, report, ctx = _train_loop(model, dataset, cfg, fake_ctx=ctx)
-    return trained, report, ctx.frozen_ranges()
+        ctx = QatContext(model.config, cfg.qat, ema_decay=cfg.qat_ema_decay)
+    trained, report, ctx = _train_loop(model, dataset, cfg, ctx)
+    return trained, report, ctx.snapshot_ranges()

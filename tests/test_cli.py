@@ -56,6 +56,15 @@ class TestExitCodes:
                     "--combo", "4,4,4,4,4,4,4,4,4,4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--t-luts", "80", "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100",
+         "--threads", "2"],
+        ["estimate", "--combo", "4,4,4,4,4,4,4,4,4,4", "--seed", "1"],
+    ])
+    def test_options_a_command_does_not_read_are_usage_errors(self, kb_path, argv, capsys):
+        assert run([*argv[:1], "--kb", kb_path, "--n", "12", *argv[1:]]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_version(self, capsys):
         assert run(["--version"]) == 0
         out = capsys.readouterr().out
@@ -221,6 +230,31 @@ class TestModelCommands:
         assert run(self.train_args(data_path, model)) == 0
         assert run(["quantize", "--model", str(model), "--combo", "8,8,8,8,8,8,8,8,8,8",
                     "--out", str(tmp_path / "q.json")]) == 2
+
+    @pytest.mark.parametrize("mutate, named", [
+        # a wider weight grid voids the plan-time accumulator bound
+        (lambda doc: doc["tensors"]["ffn.w2.weight"]["quant"].update(bitwidth=40),
+         "'ffn.w2.weight': 40-bit signed grid, the cascade plan gives 8-bit signed"),
+        # the unsigned hidden grid is what makes the requantizer clamp the ReLU
+        (lambda doc: doc["junctions"]["ffn.hidden"].update(signed=True),
+         "'ffn.hidden': 8-bit signed grid, the cascade plan gives 8-bit unsigned"),
+        (lambda doc: doc["tensors"]["mha.wq.weight"].update(shape=[4, 16]),
+         "'mha.wq.weight': shape [4, 16], expected [8, 8]"),
+    ], ids=["wide-weight-grid", "signed-hidden-junction", "weight-shape"])
+    def test_stored_grid_or_shape_off_plan_is_data_error(
+        self, data_path, tmp_path, capsys, mutate, named
+    ):
+        model, qmodel = tmp_path / "model.json", tmp_path / "qmodel.json"
+        assert run(self.train_args(data_path, model)) == 0
+        assert run(["quantize", "--model", str(model), "--combo", "8,8,8,8,8,8,8,8,8,8",
+                    "--data", data_path, "--out", str(qmodel)]) == 0
+        doc = json.loads(qmodel.read_text())
+        mutate(doc)
+        qmodel.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", "--model", str(qmodel), "--data", data_path]) == 2
+        err = capsys.readouterr().err
+        assert str(qmodel) in err and named in err
 
 
 class TestPipeline:

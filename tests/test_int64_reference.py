@@ -20,7 +20,7 @@ from mixprec.quant import (
 )
 from mixprec.quantized import (
     JUNCTION_COMPONENT,
-    LINEAR_INPUT_JUNCTION,
+    LINEARS,
     UNSIGNED_JUNCTIONS,
     WEIGHT_COMPONENT,
     _PROB_ACC_BITS,
@@ -146,7 +146,7 @@ def extreme_model(config: ModelConfig, combo: BitwidthCombination):
     for name, comp in WEIGHT_COMPONENT.items():
         p = grid(plan[comp].weight_bitwidth, True)
         tensors[name] = QuantizedTensor(np.full(shapes[name], p.q_max), p)
-    for name, junction in LINEAR_INPUT_JUNCTION.items():
+    for name, (junction, _) in LINEARS.items():
         p = derive_bias_params(act[junction], tensors[f"{name}.weight"].params)
         tensors[f"{name}.bias"] = QuantizedTensor(np.full(shapes[f"{name}.bias"], p.q_max), p)
     d = config.d_model

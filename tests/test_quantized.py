@@ -18,13 +18,12 @@ from mixprec.quantized import (
     _FakeEngine,
     calibrate,
     collect_ranges,
-    fake_backward,
     forward_fake_quant,
     forward_integer,
     integer_softmax_fixed,
     quantize_model,
 )
-from mixprec.training import TrainConfig, mse, train, train_qat
+from mixprec.training import TrainConfig, backward, mse, train, train_qat
 
 
 def make_model(cfg: ModelConfig, seed: int, spread: float = 0.25) -> "FloatModel":
@@ -319,7 +318,7 @@ class TestSteGradients:
             return mse(Y, y), fingerprint, cache, Y
 
         _, base_fp, cache, Y = run_at(model.copy())
-        grads = fake_backward(model, cache, 2.0 * (Y - y) / Y.size)
+        grads = backward(model, cache, 2.0 * (Y - y) / Y.size)
         base_wp = _weight_params(model, ctx.plan)
 
         step = 1e-5

@@ -139,12 +139,6 @@ class TestSearch:
         assert result.filtered_count == expected_passed
         assert result.reduction_pct.quantize(Decimal("0.1")) == Decimal(expected_reduction)
 
-    def test_parallel_equals_sequential(self, db):
-        seq = search(db, 18, DEFAULT_THRESHOLDS, threads=1)
-        par = search(db, 18, DEFAULT_THRESHOLDS, threads=8)
-        assert seq.selected == par.selected
-        assert seq.filtered_count == par.filtered_count
-
     def test_runtime_bound(self, db):
         result = search(db, 12, DEFAULT_THRESHOLDS)
         assert result.runtime_seconds < 10.0
