@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import time
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -34,7 +33,6 @@ from .knowledge import (
     SCHEMA_VERSION,
     CoverageError,
     DatabaseFormatError,
-    KnowledgeDatabase,
     ReportError,
     aggregate,
     format_value,

@@ -3,9 +3,10 @@
 Architecture: input projection plus a fixed sinusoidal positional table, one
 encoder layer (self-attention and a feed-forward block, each followed by a
 residual add and batch normalization), global average pooling over time, and
-an output projection. ``Dataflow`` writes the graph once; the float forward
-interprets it with plain arithmetic, and ``quantized.py`` reinterprets it for
-fake quantization and calibration (the integer path is written separately).
+an output projection. ``NODES`` lists the graph's junctions and ``Dataflow``
+computes them; the float forward interprets it with plain arithmetic, and
+``quantized.py`` reinterprets it for calibration, fake quantization and
+integer-only inference.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .components import ComponentId
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -118,9 +121,7 @@ class FloatModel:
                 raise ValueError(
                     f"{name}: shape {self.params[name].shape}, expected {shape}"
                 )
-        if np.any(self.params["bn_mha.running_var"] <= 0) or np.any(
-            self.params["bn_ffn.running_var"] <= 0
-        ):
+        if any(np.any(self.params[f"{bn}.running_var"] <= 0) for bn in BATCH_NORMS):
             raise ValueError("BN running variance must be positive")
 
     def copy(self) -> "FloatModel":
@@ -197,13 +198,79 @@ def _bn_forward(x: np.ndarray, model: FloatModel, prefix: str, mode: str, cache:
     return gamma * xhat + beta
 
 
+# --- the encoder graph ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Node:
+    """One activation junction: the op that produces it, from which inputs.
+
+    ``inputs`` name junctions or, for the positional table, a tensor;
+    ``layer`` is the parameter prefix of a linear, residual add or batch norm.
+    The junction is quantized at its component's bitwidth.
+    """
+
+    junction: str
+    component: ComponentId
+    op: str
+    inputs: tuple[str, ...] = ()
+    layer: str = ""
+
+
+_C = ComponentId
+# The junctions in dataflow order, the order ``Dataflow.run`` computes them.
+NODES: tuple[Node, ...] = (
+    Node("input", _C.L_INPUT, "input"),
+    Node("l_input.out", _C.L_INPUT, "linear", ("input",), "l_input"),
+    Node("add_pe.out", _C.ADD_PE, "add", ("l_input.out", "pos_encoding"), "add_pe"),
+    Node("mha.q", _C.MHA, "linear", ("add_pe.out",), "mha.wq"),
+    Node("mha.k", _C.MHA, "linear", ("add_pe.out",), "mha.wk"),
+    Node("mha.v", _C.MHA, "linear", ("add_pe.out",), "mha.wv"),
+    Node("mha.scores", _C.MHA, "scores", ("mha.q", "mha.k")),
+    Node("mha.probs", _C.MHA, "softmax", ("mha.scores",)),
+    Node("mha.context", _C.MHA, "context", ("mha.probs", "mha.v")),
+    Node("mha.out", _C.MHA, "linear", ("mha.context",), "mha.wo"),
+    Node("add_mha.out", _C.ADD_MHA, "add", ("add_pe.out", "mha.out"), "add_mha"),
+    Node("bn_mha.out", _C.BN_MHA, "bn", ("add_mha.out",), "bn_mha"),
+    Node("ffn.hidden", _C.FFN, "linear_relu", ("bn_mha.out",), "ffn.w1"),
+    Node("ffn.out", _C.FFN, "linear", ("ffn.hidden",), "ffn.w2"),
+    Node("add_ffn.out", _C.ADD_FFN, "add", ("bn_mha.out", "ffn.out"), "add_ffn"),
+    Node("bn_ffn.out", _C.BN_FFN, "bn", ("add_ffn.out",), "bn_ffn"),
+    Node("gap.out", _C.GAP, "pool", ("bn_ffn.out",)),
+    Node("output", _C.L_OUTPUT, "linear", ("gap.out",), "l_output"),
+)
+
+JUNCTION_COMPONENT = {node.junction: node.component for node in NODES}
+# the probabilities and the ReLU output are never negative
+UNSIGNED_JUNCTIONS = {node.junction for node in NODES if node.op in ("softmax", "linear_relu")}
+LAYER_NODE = {node.layer: node for node in NODES if node.layer}
+# Each linear layer: (the junction that feeds it, which with the weight grid
+# fixes the bias grid; the junction it produces, whose grid its requantizer
+# targets).
+LINEARS = {
+    node.layer: (node.inputs[0], node.junction)
+    for node in NODES
+    if node.op in ("linear", "linear_relu")
+}
+BATCH_NORMS = tuple(node.layer for node in NODES if node.op == "bn")
+# Weight tensors and the component whose bitwidth quantizes them: a linear's
+# weight takes the component of the junction it produces, the positional
+# table that of the add reading it.
+WEIGHT_COMPONENT = {
+    f"{layer}.weight": JUNCTION_COMPONENT[out] for layer, (_, out) in LINEARS.items()
+} | {
+    name: node.component for node in NODES for name in node.inputs if name not in JUNCTION_COMPONENT
+}
+
+
 class Dataflow:
-    """The encoder graph, written once.
+    """The encoder graph ``NODES`` lists, computed.
 
     ``run`` names every activation junction and passes each value through a
     hook. Here every hook is plain float arithmetic; subclasses reinterpret
-    the same graph by overriding hooks (fake quantization snaps values to
-    grids, calibration records ranges). The cache ``run`` returns feeds
+    the same graph by overriding hooks (calibration records ranges, fake
+    quantization snaps values to grids, the integer engine computes on
+    int64 grid values). The cache ``run`` returns feeds
     ``training.backward``, which reads straight-through masks from
     ``cache["masks"]`` where a subclass recorded them.
     """
@@ -212,6 +279,9 @@ class Dataflow:
         self.model = model
         self.masks: dict[str, np.ndarray] = {}
         self.cache: dict = {"masks": self.masks}
+
+    def as_input(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64)
 
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
         return value
@@ -239,10 +309,27 @@ class Dataflow:
     def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
         return _bn_forward(x, self.model, prefix, mode, self.cache)
 
+    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return (q @ k.transpose(0, 2, 1)) / math.sqrt(self.model.config.d_model)
+
+    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
+        p = softmax(s)
+        self.cache["P_float"] = p  # for the backward's softmax Jacobian
+        return p
+
+    def context(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return p @ v
+
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
+
+    def pool(self, f: np.ndarray) -> np.ndarray:
+        return f.mean(axis=1)
+
     def run(self, X: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        X = np.asarray(X, dtype=np.float64)
+        X = self.as_input(X)
         single = X.ndim == 2
         if single:
             X = X[None]
@@ -255,31 +342,29 @@ class Dataflow:
 
         x0 = self.act("input", X)
         h = self.act("l_input.out", self.linear("l_input", x0))
-        pe = np.broadcast_to(self.pos_encoding(), h.shape)
-        xe = self.residual_add("add_pe", h, pe, "add_pe.out")
+        xe = self.residual_add("add_pe", h, self.pos_encoding(), "add_pe.out")
 
         q = self.act("mha.q", self.linear("mha.wq", xe))
         k = self.act("mha.k", self.linear("mha.wk", xe))
         v = self.act("mha.v", self.linear("mha.wv", xe))
-        s = self.act("mha.scores", (q @ k.transpose(0, 2, 1)) / math.sqrt(cfg.d_model))
-        p_float = softmax(s)
-        p = self.act("mha.probs", p_float)
-        ctx = self.act("mha.context", p @ v)
+        s = self.act("mha.scores", self.scores(q, k))
+        p = self.act("mha.probs", self.softmax(s, mode))
+        ctx = self.act("mha.context", self.context(p, v))
         mo = self.act("mha.out", self.linear("mha.wo", ctx))
         r1 = self.residual_add("add_mha", xe, mo, "add_mha.out")
         a = self.act("bn_mha.out", self.bn("bn_mha", r1, mode))
 
         f1_pre = self.linear("ffn.w1", a)
-        f1 = self.act("ffn.hidden", np.maximum(f1_pre, 0.0))
+        f1 = self.act("ffn.hidden", self.relu(f1_pre))
         f2 = self.act("ffn.out", self.linear("ffn.w2", f1))
         r2 = self.residual_add("add_ffn", a, f2, "add_ffn.out")
         f = self.act("bn_ffn.out", self.bn("bn_ffn", r2, mode))
 
-        g = self.act("gap.out", f.mean(axis=1))
+        g = self.act("gap.out", self.pool(f))
         y = self.act("output", self.linear("l_output", g))
 
         self.cache.update(
-            X=X, x0=x0, H=h, Xe=xe, Q=q, K=k, V=v, S=s, P_float=p_float, P=p,
+            X=X, x0=x0, H=h, Xe=xe, Q=q, K=k, V=v, S=s, P=p,
             ctx=ctx, mha_out=mo, R1=r1, A=a, F1_pre=f1_pre, F1=f1, F2=f2,
             R2=r2, F=f, g=g, Y=y, mode=mode,
         )

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .components import KEY_COMPONENTS, BitwidthCombination, ComponentId
+from .model import JUNCTION_COMPONENT, LINEARS, NODES, WEIGHT_COMPONENT
 
 # Guard bits added on top of input+weight width for the accumulator-derived
 # bias grid: 8+8 -> 18, 6+8 -> 16, 4+8 -> 14.
@@ -269,7 +270,6 @@ class ComponentPlan:
     inputs: tuple[int, ...]
     output_bitwidth: int
     weight_bitwidth: int | None = None
-    bias_bitwidth: int | None = None
 
 
 @dataclass(frozen=True)
@@ -290,82 +290,33 @@ class CascadePlan:
 
 
 def plan_cascade(combo: BitwidthCombination) -> CascadePlan:
-    """Propagate output bitwidths along the encoder dataflow.
+    """Propagate output bitwidths along the encoder graph ``model.NODES``.
 
-    Every component's input width equals its predecessor's output width; the
-    residual adds receive the skip path's width alongside the main path's.
-    The model input tensor is quantized at the first component's bitwidth.
+    Every junction and weight is quantized at its component's bitwidth, so a
+    component's inputs are the widths its first op reads from its
+    predecessors: the residual adds receive the skip path's width alongside
+    the main path's, and the positional table, the second addend of
+    ``add_pe``, comes at that component's own bitwidth. The model input
+    junction belongs to the first component.
     """
-    b = {comp: combo[comp] for comp in KEY_COMPONENTS}
-    C = ComponentId
-
-    def bias(b_in: int, b_w: int) -> int:
-        return b_in + b_w + BIAS_GUARD_BITS
-
-    components = {
-        C.L_INPUT: ComponentPlan(
-            inputs=(b[C.L_INPUT],),
-            output_bitwidth=b[C.L_INPUT],
-            weight_bitwidth=b[C.L_INPUT],
-            bias_bitwidth=bias(b[C.L_INPUT], b[C.L_INPUT]),
-        ),
-        # the positional encoding table is the second addend, quantized at
-        # the component's own bitwidth
-        C.ADD_PE: ComponentPlan(
-            inputs=(b[C.L_INPUT], b[C.ADD_PE]),
-            output_bitwidth=b[C.ADD_PE],
-            weight_bitwidth=b[C.ADD_PE],
-        ),
-        C.MHA: ComponentPlan(
-            inputs=(b[C.ADD_PE],),
-            output_bitwidth=b[C.MHA],
-            weight_bitwidth=b[C.MHA],
-            bias_bitwidth=bias(b[C.ADD_PE], b[C.MHA]),
-        ),
-        C.ADD_MHA: ComponentPlan(
-            inputs=(b[C.ADD_PE], b[C.MHA]),  # (skip path, main path)
-            output_bitwidth=b[C.ADD_MHA],
-        ),
-        C.BN_MHA: ComponentPlan(
-            inputs=(b[C.ADD_MHA],),
-            output_bitwidth=b[C.BN_MHA],
-        ),
-        C.FFN: ComponentPlan(
-            inputs=(b[C.BN_MHA],),
-            output_bitwidth=b[C.FFN],
-            weight_bitwidth=b[C.FFN],
-            bias_bitwidth=bias(b[C.BN_MHA], b[C.FFN]),
-        ),
-        C.ADD_FFN: ComponentPlan(
-            inputs=(b[C.BN_MHA], b[C.FFN]),  # (skip path, main path)
-            output_bitwidth=b[C.ADD_FFN],
-        ),
-        C.BN_FFN: ComponentPlan(
-            inputs=(b[C.ADD_FFN],),
-            output_bitwidth=b[C.BN_FFN],
-        ),
-        C.GAP: ComponentPlan(
-            inputs=(b[C.BN_FFN],),
-            output_bitwidth=b[C.GAP],
-        ),
-        C.L_OUTPUT: ComponentPlan(
-            inputs=(b[C.GAP],),
-            output_bitwidth=b[C.L_OUTPUT],
-            weight_bitwidth=b[C.L_OUTPUT],
-            bias_bitwidth=bias(b[C.GAP], b[C.L_OUTPUT]),
-        ),
+    width = {
+        name: combo[comp] for name, comp in (JUNCTION_COMPONENT | WEIGHT_COMPONENT).items()
     }
-
-    # Sub-layers after the first inside a module run uniformly at the module
-    # bitwidth, so only the first linear of MHA/FFN sees a mixed input.
+    inputs: dict[ComponentId, tuple[int, ...]] = {}
+    for node in NODES:
+        if node.inputs:
+            inputs.setdefault(node.component, tuple(width[name] for name in node.inputs))
+    weighted = set(WEIGHT_COMPONENT.values())
+    components = {
+        comp: ComponentPlan(
+            inputs=inputs[comp],
+            output_bitwidth=combo[comp],
+            weight_bitwidth=combo[comp] if comp in weighted else None,
+        )
+        for comp in KEY_COMPONENTS
+    }
     linear_bias_bits = {
-        "l_input": bias(b[C.L_INPUT], b[C.L_INPUT]),
-        "mha.wq": bias(b[C.ADD_PE], b[C.MHA]),
-        "mha.wk": bias(b[C.ADD_PE], b[C.MHA]),
-        "mha.wv": bias(b[C.ADD_PE], b[C.MHA]),
-        "mha.wo": bias(b[C.MHA], b[C.MHA]),
-        "ffn.w1": bias(b[C.BN_MHA], b[C.FFN]),
-        "ffn.w2": bias(b[C.FFN], b[C.FFN]),
-        "l_output": bias(b[C.GAP], b[C.L_OUTPUT]),
+        name: width[x] + width[f"{name}.weight"] + BIAS_GUARD_BITS
+        for name, (x, _) in LINEARS.items()
     }
     return CascadePlan(combo=combo, components=components, linear_bias_bits=linear_bias_bits)

@@ -1,12 +1,12 @@
 """Quantized execution: calibration, fake-quant simulation, integer inference.
 
-Calibration and the fake-quant path interpret ``model.Dataflow``: the first
-records each junction's range, the second inserts quantize-dequantize at
-every tensor the cascade plan quantizes. The integer path performs the
-same computation with integer arithmetic only, rescaling between grids
-through fixed-point requantizers. Both paths share grids and rounding, so
-they agree to the last integer step except where the integer exponential
-table approximates the float softmax.
+All three interpret ``model.Dataflow``. Calibration records each junction's
+range; the fake-quant path inserts quantize-dequantize at every tensor the
+cascade plan quantizes; the integer engine performs the same computation
+with integer arithmetic only, rescaling between grids through fixed-point
+requantizers. The fake-quant forward in eval mode takes the integer softmax
+on the integer scores, and both paths share grids and rounding, so their
+outputs agree bit for bit.
 
 Residual adds requantize each addend onto the output grid before the integer
 addition; the FFN's hidden grid is unsigned with zero point 0, so its
@@ -33,6 +33,13 @@ import numpy as np
 from . import training
 from .components import BitwidthCombination, ComponentId
 from .model import (
+    BATCH_NORMS,
+    JUNCTION_COMPONENT,
+    LAYER_NODE,
+    LINEARS,
+    NODES,
+    UNSIGNED_JUNCTIONS,
+    WEIGHT_COMPONENT,
     Dataflow,
     FloatModel,
     ModelConfig,
@@ -46,7 +53,6 @@ from .quant import (
     QuantizedTensor,
     Requantizer,
     derive_bias_params,
-    dequantize,
     fake_quantize,
     make_requantizer,
     params_for_range,
@@ -56,58 +62,6 @@ from .quant import (
     round_half_away,
     rounding_shift,
 )
-
-# Activation junctions in dataflow order, each quantized at the bitwidth of
-# the component that produces it.
-JUNCTION_COMPONENT: dict[str, ComponentId] = {
-    "input": ComponentId.L_INPUT,
-    "l_input.out": ComponentId.L_INPUT,
-    "add_pe.out": ComponentId.ADD_PE,
-    "mha.q": ComponentId.MHA,
-    "mha.k": ComponentId.MHA,
-    "mha.v": ComponentId.MHA,
-    "mha.scores": ComponentId.MHA,
-    "mha.probs": ComponentId.MHA,
-    "mha.context": ComponentId.MHA,
-    "mha.out": ComponentId.MHA,
-    "add_mha.out": ComponentId.ADD_MHA,
-    "bn_mha.out": ComponentId.BN_MHA,
-    "ffn.hidden": ComponentId.FFN,
-    "ffn.out": ComponentId.FFN,
-    "add_ffn.out": ComponentId.ADD_FFN,
-    "bn_ffn.out": ComponentId.BN_FFN,
-    "gap.out": ComponentId.GAP,
-    "output": ComponentId.L_OUTPUT,
-}
-
-UNSIGNED_JUNCTIONS = {"mha.probs", "ffn.hidden"}
-
-# Each linear layer: (the junction that feeds it, which with the weight grid
-# fixes the bias grid; the junction it produces, whose grid its requantizer
-# targets).
-LINEARS = {
-    "l_input": ("input", "l_input.out"),
-    "mha.wq": ("add_pe.out", "mha.q"),
-    "mha.wk": ("add_pe.out", "mha.k"),
-    "mha.wv": ("add_pe.out", "mha.v"),
-    "mha.wo": ("mha.context", "mha.out"),
-    "ffn.w1": ("bn_mha.out", "ffn.hidden"),
-    "ffn.w2": ("ffn.hidden", "ffn.out"),
-    "l_output": ("gap.out", "output"),
-}
-
-# Weight tensors and the component whose bitwidth quantizes them.
-WEIGHT_COMPONENT = {
-    "l_input.weight": ComponentId.L_INPUT,
-    "pos_encoding": ComponentId.ADD_PE,
-    "mha.wq.weight": ComponentId.MHA,
-    "mha.wk.weight": ComponentId.MHA,
-    "mha.wv.weight": ComponentId.MHA,
-    "mha.wo.weight": ComponentId.MHA,
-    "ffn.w1.weight": ComponentId.FFN,
-    "ffn.w2.weight": ComponentId.FFN,
-    "l_output.weight": ComponentId.L_OUTPUT,
-}
 
 
 class CalibrationError(ValueError):
@@ -289,6 +243,10 @@ class QuantizedModel:
     def quantize_input(self, X: np.ndarray) -> QuantizedTensor:
         return quantize(np.asarray(X, dtype=np.float64), self.act_params["input"])
 
+    def grid(self, name: str) -> QuantParams:
+        """The grid of a junction or of a stored tensor."""
+        return self.act_params[name] if name in self.act_params else self.tensors[name].params
+
 
 def _bn_integer_constants(
     a: np.ndarray, b: np.ndarray, in_p: QuantParams, out_p: QuantParams
@@ -324,18 +282,19 @@ def _build_runtime(qm: QuantizedModel) -> None:
         w = qm.tensors[f"{name}.weight"]
         rt.weights[name] = _centered(w.data, w.params.zero_point)
 
-    rt.add["add_pe"] = (
-        make_requantizer(act["l_input.out"].scale, act["add_pe.out"].scale),
-        make_requantizer(qm.tensors["pos_encoding"].params.scale, act["add_pe.out"].scale),
-    )
-    rt.add["add_mha"] = (
-        make_requantizer(act["add_pe.out"].scale, act["add_mha.out"].scale),
-        make_requantizer(act["mha.out"].scale, act["add_mha.out"].scale),
-    )
-    rt.add["add_ffn"] = (
-        make_requantizer(act["bn_mha.out"].scale, act["add_ffn.out"].scale),
-        make_requantizer(act["ffn.out"].scale, act["add_ffn.out"].scale),
-    )
+    for node in NODES:
+        out = act[node.junction]
+        if node.op == "add":
+            rt.add[node.layer] = tuple(
+                make_requantizer(qm.grid(name).scale, out.scale) for name in node.inputs
+            )
+        elif node.op == "bn":
+            rt.bn[node.layer] = _bn_integer_constants(
+                qm.bn_folds[f"{node.layer}.fold_a"],
+                qm.bn_folds[f"{node.layer}.fold_b"],
+                act[node.inputs[0]],
+                out,
+            )
 
     s_q, s_k = act["mha.q"].scale, act["mha.k"].scale
     rt.scores = make_requantizer(s_q * s_k / math.sqrt(d), act["mha.scores"].scale)
@@ -344,27 +303,24 @@ def _build_runtime(qm: QuantizedModel) -> None:
     rt.ctx = make_requantizer(s_p * s_v, act["mha.context"].scale)
     rt.gap = make_requantizer(act["bn_ffn.out"].scale / qm.config.seq_len, act["gap.out"].scale)
 
-    for prefix, in_junction, out_junction in (
-        ("bn_mha", "add_mha.out", "bn_mha.out"),
-        ("bn_ffn", "add_ffn.out", "bn_ffn.out"),
-    ):
-        rt.bn[prefix] = _bn_integer_constants(
-            qm.bn_folds[f"{prefix}.fold_a"],
-            qm.bn_folds[f"{prefix}.fold_b"],
-            act[in_junction],
-            act[out_junction],
-        )
+
+def _describe(bits: int, signed: bool) -> str:
+    return f"{bits}-bit {'signed' if signed else 'unsigned'}"
 
 
 def _check_grid(what: str, params: QuantParams, bitwidth: int, signed: bool) -> None:
-    def describe(bits: int, is_signed: bool) -> str:
-        return f"{bits}-bit {'signed' if is_signed else 'unsigned'}"
-
     if (params.bitwidth, params.signed) != (bitwidth, signed):
         raise ValueError(
-            f"{what}: {describe(params.bitwidth, params.signed)} grid, "
-            f"the cascade plan gives {describe(bitwidth, signed)}"
+            f"{what}: {_describe(params.bitwidth, params.signed)} grid, "
+            f"the cascade plan gives {_describe(bitwidth, signed)}"
         )
+
+
+def _describe_grid(p: QuantParams) -> str:
+    return (
+        f"{_describe(p.bitwidth, p.signed)} {p.scheme.name.lower()} grid "
+        f"(scale {p.scale!r}, zero point {p.zero_point})"
+    )
 
 
 def _check_stored(
@@ -385,9 +341,9 @@ def _check_stored(
             junction_bitwidth(plan, junction),
             junction not in UNSIGNED_JUNCTIONS,
         )
-    grids = [*WEIGHT_COMPONENT, *(f"{name}.bias" for name in LINEARS)]
-    folds = [f"{prefix}.fold_{ab}" for prefix in ("bn_mha", "bn_ffn") for ab in "ab"]
-    for store, names in ((tensors, grids), (bn_folds, folds)):
+    biases = [f"{name}.bias" for name in LINEARS]
+    folds = [f"{prefix}.fold_{ab}" for prefix in BATCH_NORMS for ab in "ab"]
+    for store, names in ((tensors, [*WEIGHT_COMPONENT, *biases]), (bn_folds, folds)):
         for name in names:
             if name not in store:
                 raise ValueError(f"missing tensor {name!r}")
@@ -401,15 +357,18 @@ def _check_stored(
             raise ValueError(
                 f"tensor {name!r}: shape {list(data.shape)}, expected {list(shapes[name])}"
             )
-    for name in grids:
-        if name in WEIGHT_COMPONENT:
-            bits, signed = plan[WEIGHT_COMPONENT[name]].weight_bitwidth, True
-        else:
-            layer = name.removesuffix(".bias")
-            x_params = act_params[LINEARS[layer][0]]
-            bias = derive_bias_params(x_params, tensors[f"{layer}.weight"].params)
-            bits, signed = bias.bitwidth, bias.signed
-        _check_grid(f"tensor {name!r}", tensors[name].params, bits, signed)
+    for name, comp in WEIGHT_COMPONENT.items():
+        _check_grid(f"tensor {name!r}", tensors[name].params, plan[comp].weight_bitwidth, True)
+    # a linear's requantizer takes s_x * s_w from its bias grid, and the
+    # integer matmul adds the bias with no zero point
+    for name, (x_junction, _) in LINEARS.items():
+        bias = tensors[f"{name}.bias"].params
+        expected = derive_bias_params(act_params[x_junction], tensors[f"{name}.weight"].params)
+        if bias != expected:
+            raise ValueError(
+                f"tensor '{name}.bias': {_describe_grid(bias)}, its input and weight "
+                f"grids give {_describe_grid(expected)}"
+            )
 
 
 def build_quantized(
@@ -464,7 +423,7 @@ def quantize_model(
         tensors[f"{name}.bias"] = quantize(model.params[f"{name}.bias"], bp)
 
     bn_folds = {}
-    for prefix in ("bn_mha", "bn_ffn"):
+    for prefix in BATCH_NORMS:
         a, b = fold_bn(
             model.params[f"{prefix}.gamma"],
             model.params[f"{prefix}.beta"],
@@ -485,45 +444,6 @@ def _centered(x_q: np.ndarray, zero_point: int) -> np.ndarray:
     return np.subtract(x_q, zero_point, dtype=np.float64)
 
 
-def _int_linear(
-    x_q: np.ndarray, x_p: QuantParams, qm: QuantizedModel, name: str, out_junction: str
-) -> np.ndarray:
-    b = qm.tensors[f"{name}.bias"]
-    out_p = qm.act_params[out_junction]
-    acc = (_centered(x_q, x_p.zero_point) @ qm.runtime.weights[name]).astype(np.int64)
-    acc += b.data
-    return requantize(
-        acc, qm.runtime.linear[name], out_p.zero_point, out_p.bitwidth, out_p.signed
-    )
-
-
-def _int_add(
-    x1_q: np.ndarray,
-    p1: QuantParams,
-    x2_q: np.ndarray,
-    p2: QuantParams,
-    qm: QuantizedModel,
-    add_name: str,
-    out_junction: str,
-) -> np.ndarray:
-    out_p = qm.act_params[out_junction]
-    r1, r2 = qm.runtime.add[add_name]
-    a1 = requantize(x1_q - p1.zero_point, r1, out_p.zero_point, out_p.bitwidth, out_p.signed)
-    a2 = requantize(x2_q - p2.zero_point, r2, out_p.zero_point, out_p.bitwidth, out_p.signed)
-    return np.clip(a1 + a2 - out_p.zero_point, out_p.q_min, out_p.q_max)
-
-
-def _int_bn(
-    x_q: np.ndarray, in_p: QuantParams, qm: QuantizedModel, prefix: str, out_junction: str
-) -> np.ndarray:
-    out_p = qm.act_params[out_junction]
-    bn = qm.runtime.bn[prefix]
-    acc = (x_q - in_p.zero_point).astype(np.int64)
-    product = bn["sign"] * acc * bn["mult"] + bn["offset"]
-    y = rounding_shift(product, bn["shift"]) + out_p.zero_point
-    return np.clip(y, out_p.q_min, out_p.q_max)
-
-
 # windows per integer pass: at d_model=64 a batch's largest temporary (the FFN
 # hidden layer) is 1.5 MB, where all 1,988 windows of the bundled series at
 # once allocate fresh 49 MB arrays whose page faults swing the run time
@@ -532,68 +452,93 @@ _BATCH = 64
 
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     """Integer-only inference; returns the dequantized output."""
-    in_p = qm.act_params["input"]
-    if X_q.params != in_p:
+    if X_q.params != qm.act_params["input"]:
         raise ValueError("input quantization parameters do not match the model's input grid")
-    x = np.asarray(X_q.data, dtype=np.int64)
+    x = X_q.data
     single = x.ndim == 2
     if single:
         x = x[None]
-    cfg = qm.config
-    if x.shape[1:] != (cfg.seq_len, cfg.input_dim):
-        raise ValueError(f"input shape {x.shape[1:]} does not match the model config")
+    engine = _IntegerEngine(qm)
     # windows are independent, so batching leaves every output bit unchanged
-    y = np.concatenate([
-        _forward_batch(qm, x[i:i + _BATCH]) for i in range(0, max(len(x), 1), _BATCH)
+    y_q = np.concatenate([
+        engine.run(x[i:i + _BATCH], "eval")[0] for i in range(0, max(len(x), 1), _BATCH)
     ])
+    yp = qm.act_params["output"]
+    y = yp.scale * (y_q.astype(np.float64) - yp.zero_point)
     return y[0] if single else y
 
 
-def _forward_batch(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """The dequantized outputs of a batch of int64 windows (n, seq_len, input_dim)."""
-    in_p, act = qm.act_params["input"], qm.act_params
-    h = _int_linear(x, in_p, qm, "l_input", "l_input.out")
-    pe = qm.tensors["pos_encoding"]
-    xe = _int_add(
-        h, act["l_input.out"], pe.data, pe.params, qm, "add_pe", "add_pe.out"
-    )
+class _IntegerEngine(Dataflow):
+    """The dataflow on int64 values, each on the grid of its junction.
 
-    q = _int_linear(xe, act["add_pe.out"], qm, "mha.wq", "mha.q")
-    k = _int_linear(xe, act["add_pe.out"], qm, "mha.wk", "mha.k")
-    v = _int_linear(xe, act["add_pe.out"], qm, "mha.wv", "mha.v")
+    Every op ends in the requantizer onto the grid of the junction it
+    produces, so ``act`` has nothing left to do.
+    """
 
-    k_t = _centered(k, act["mha.k"].zero_point).transpose(0, 2, 1)
-    s_acc = (_centered(q, act["mha.q"].zero_point) @ k_t).astype(np.int64)
-    sp = act["mha.scores"]
-    s = requantize(s_acc, qm.runtime.scores, sp.zero_point, sp.bitwidth, sp.signed)
+    def __init__(self, qm: QuantizedModel):
+        super().__init__(qm)
+        self.rt = qm.runtime
 
-    p_fix = integer_softmax_fixed(s, sp.scale)
-    pp = act["mha.probs"]
-    p = requantize(p_fix, qm.runtime.probs, pp.zero_point, pp.bitwidth, pp.signed)
+    def _requantize(self, acc: np.ndarray, r: Requantizer, junction: str) -> np.ndarray:
+        p = self.model.act_params[junction]
+        return requantize(acc, r, p.zero_point, p.bitwidth, p.signed)
 
-    v_c = _centered(v, act["mha.v"].zero_point)
-    ctx_acc = (_centered(p, pp.zero_point) @ v_c).astype(np.int64)
-    cp = act["mha.context"]
-    ctx = requantize(ctx_acc, qm.runtime.ctx, cp.zero_point, cp.bitwidth, cp.signed)
+    def _centered(self, junction: str, x: np.ndarray) -> np.ndarray:
+        return _centered(x, self.model.act_params[junction].zero_point)
 
-    mo = _int_linear(ctx, cp, qm, "mha.wo", "mha.out")
-    r1 = _int_add(xe, act["add_pe.out"], mo, act["mha.out"], qm, "add_mha", "add_mha.out")
-    a = _int_bn(r1, act["add_mha.out"], qm, "bn_mha", "bn_mha.out")
+    def as_input(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(X, dtype=np.int64)
 
-    # the unsigned hidden grid has zero point 0, so the requantizer's lower
-    # clamp is exactly the ReLU
-    f1 = _int_linear(a, act["bn_mha.out"], qm, "ffn.w1", "ffn.hidden")
-    f2 = _int_linear(f1, act["ffn.hidden"], qm, "ffn.w2", "ffn.out")
-    r2 = _int_add(a, act["bn_mha.out"], f2, act["ffn.out"], qm, "add_ffn", "add_ffn.out")
-    f = _int_bn(r2, act["add_ffn.out"], qm, "bn_ffn", "bn_ffn.out")
+    def act(self, junction: str, value: np.ndarray) -> np.ndarray:
+        return value
 
-    gp = act["gap.out"]
-    gap_acc = (f - act["bn_ffn.out"].zero_point).sum(axis=1)
-    g = requantize(gap_acc, qm.runtime.gap, gp.zero_point, gp.bitwidth, gp.signed)
+    def pos_encoding(self) -> np.ndarray:
+        return self.model.tensors["pos_encoding"].data
 
-    y_q = _int_linear(g, gp, qm, "l_output", "output")
-    yp = act["output"]
-    return yp.scale * (y_q.astype(np.float64) - yp.zero_point)
+    def linear(self, name: str, x: np.ndarray) -> np.ndarray:
+        x_junction, out_junction = LINEARS[name]
+        acc = (self._centered(x_junction, x) @ self.rt.weights[name]).astype(np.int64)
+        acc += self.model.tensors[f"{name}.bias"].data
+        return self._requantize(acc, self.rt.linear[name], out_junction)
+
+    def residual_add(
+        self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
+    ) -> np.ndarray:
+        # each addend is requantized onto the output grid before the addition
+        out = self.model.act_params[out_junction]
+        (n1, n2), (r1, r2) = LAYER_NODE[add_name].inputs, self.rt.add[add_name]
+        a1 = self._requantize(x1 - self.model.grid(n1).zero_point, r1, out_junction)
+        a2 = self._requantize(x2 - self.model.grid(n2).zero_point, r2, out_junction)
+        return np.clip(a1 + a2 - out.zero_point, out.q_min, out.q_max)
+
+    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
+        node, c = LAYER_NODE[prefix], self.rt.bn[prefix]
+        out = self.model.act_params[node.junction]
+        acc = (x - self.model.act_params[node.inputs[0]].zero_point).astype(np.int64)
+        y = rounding_shift(c["sign"] * acc * c["mult"] + c["offset"], c["shift"])
+        return np.clip(y + out.zero_point, out.q_min, out.q_max)
+
+    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        k_t = self._centered("mha.k", k).transpose(0, 2, 1)
+        acc = (self._centered("mha.q", q) @ k_t).astype(np.int64)
+        return self._requantize(acc, self.rt.scores, "mha.scores")
+
+    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
+        p_fix = integer_softmax_fixed(s, self.model.act_params["mha.scores"].scale)
+        return self._requantize(p_fix, self.rt.probs, "mha.probs")
+
+    def context(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        acc = (self._centered("mha.probs", p) @ self._centered("mha.v", v)).astype(np.int64)
+        return self._requantize(acc, self.rt.ctx, "mha.context")
+
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        # the unsigned hidden grid has zero point 0, so the requantizer's
+        # lower clamp already is the ReLU
+        return x
+
+    def pool(self, f: np.ndarray) -> np.ndarray:
+        acc = (f - self.model.act_params["bn_ffn.out"].zero_point).sum(axis=1)
+        return self._requantize(acc, self.rt.gap, "gap.out")
 
 
 # --- fake-quant forward -------------------------------------------------------
@@ -661,6 +606,15 @@ class _FakeEngine(Dataflow):
         self.masks[out_junction] = (total >= lo) & (total <= hi)
         return np.clip(total, lo, hi)
 
+    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
+        if mode == "train" or self.surrogate:
+            return super().softmax(s, mode)
+        # the integer softmax of the integer scores, so the eval forward
+        # equals the integer engine bit for bit
+        params = self.provider("mha.scores", None)
+        s_q = (round_half_away(s / params.scale) + params.zero_point).astype(np.int64)
+        return integer_softmax_fixed(s_q, params.scale) * 2.0**-_PROB_ACC_BITS
+
     def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
         if mode == "train":
             return super().bn(prefix, x, mode)
@@ -684,8 +638,9 @@ def forward_fake_quant(
 ) -> np.ndarray:
     """Float arithmetic with quantize-dequantize at every planned junction.
 
-    With ``combo`` None the simulation is disabled and this equals the plain
-    float forward exactly.
+    The softmax is the integer path's, on the integer scores, so the output
+    equals ``forward_integer``'s bit for bit. With ``combo`` None the
+    simulation is disabled and this equals the plain float forward exactly.
     """
     if combo is None:
         return forward_float(model, X, mode="eval")[0]

@@ -13,7 +13,7 @@ the scalar estimator agree bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -192,7 +192,6 @@ def _scaled_tables(
 
 def _sweep(
     idx: np.ndarray,
-    places: int,
     key_tables: dict,
     overhead_totals: dict,
     threshold_row: np.ndarray,
@@ -245,7 +244,7 @@ def filter_candidates(
         db, seq_len, thresholds, opts
     )
 
-    mask, sums = _sweep(idx, places, key_tables, overhead_totals, threshold_row, opts)
+    mask, sums = _sweep(idx, key_tables, overhead_totals, threshold_row, opts)
 
     result: list[ScoredCandidate] = []
     combos = candidates.combos

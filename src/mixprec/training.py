@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .components import BitwidthCombination
-from .model import BN_EPS, FloatModel, forward_float, trainable_tensors
+from .model import BATCH_NORMS, FloatModel, forward_float, trainable_tensors
 
 
 @dataclass
@@ -161,7 +161,7 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     linear_back("l_input", cache["x0"], mask("l_input.out", mask("add_pe.a1", dXe)))
 
     # running statistics carry no gradient
-    for prefix in ("bn_mha", "bn_ffn"):
+    for prefix in BATCH_NORMS:
         grads[f"{prefix}.running_mean"] = np.zeros(d)
         grads[f"{prefix}.running_var"] = np.zeros(d)
     return grads

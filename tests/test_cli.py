@@ -240,7 +240,15 @@ class TestModelCommands:
          "'ffn.hidden': 8-bit signed grid, the cascade plan gives 8-bit unsigned"),
         (lambda doc: doc["tensors"]["mha.wq.weight"].update(shape=[4, 16]),
          "'mha.wq.weight': shape [4, 16], expected [8, 8]"),
-    ], ids=["wide-weight-grid", "signed-hidden-junction", "weight-shape"])
+        # the output requantizer takes its accumulator scale from the bias grid
+        (lambda doc: doc["tensors"]["l_output.bias"]["quant"].update(
+            scale=64 * doc["tensors"]["l_output.bias"]["quant"]["scale"]),
+         "'l_output.bias': 18-bit signed symmetric grid (scale "),
+        # the integer matmul adds the bias with no zero point
+        (lambda doc: doc["tensors"]["l_output.bias"]["quant"].update(scheme="asym", zero_point=3),
+         "'l_output.bias': 18-bit signed asymmetric grid (scale "),
+    ], ids=["wide-weight-grid", "signed-hidden-junction", "weight-shape", "bias-scale",
+            "asymmetric-bias"])
     def test_stored_grid_or_shape_off_plan_is_data_error(
         self, data_path, tmp_path, capsys, mutate, named
     ):
