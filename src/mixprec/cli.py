@@ -42,7 +42,7 @@ from .knowledge import (
 )
 from .model import FloatModel, ModelConfig, forward_float, init, load_model, save_model
 from .quantized import CalibrationError, forward_integer, quantize_model
-from .search import Thresholds, histogram, parse_candidate_file, search
+from .search import Thresholds, parse_candidate_file, search
 from .training import TrainConfig, train, train_qat
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 1, 2, 3
@@ -210,14 +210,8 @@ def cmd_search(args) -> int:
         opts=_estimate_options(args),
     )
     if args.histogram:
-        from .search import filter_candidates, enumerate_all
-
-        kind = ResourceKind(args.histogram)
-        filtered = filter_candidates(
-            db, args.n, candidates or enumerate_all(), thresholds, _estimate_options(args)
-        )
         print("bin_low,bin_high,count")
-        for lo, hi, count in histogram(filtered, kind, bins=args.bins):
+        for lo, hi, count in result.histogram(ResourceKind(args.histogram), bins=args.bins):
             print(f"{lo},{hi},{count}")
         if args.out:
             _emit(result.to_dict(), args.out)

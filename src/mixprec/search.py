@@ -1,19 +1,23 @@
 """Threshold filtering and score-based ranking of bitwidth combinations.
 
-The sweep enumerates candidate combinations, estimates each one against the
-knowledge database, keeps those within all four resource thresholds, and
-ranks survivors by the sum of their bitwidths (descending), with estimated
-LUTs (descending) and lexicographic combination order as tie-breakers.
-
-Sums and threshold comparisons are exact: database values are converted to
-integers on a common power-of-ten denominator, so the vectorized sweep and
-the scalar estimator agree bit for bit.
+The search works on row numbers, never on the 3^10 combinations as objects:
+row r is the combination whose base-3 digits (4 < 6 < 8) spell r, so row
+order is lexicographic combination order. With the database and thresholds
+as integers on a common power-of-ten denominator, one Kronecker (outer) sum
+of the ten per-component rows gives every row's four utilization sums, plus
+the overhead row it picks. One ``np.lexsort`` ranks the survivors that reach
+the k-th best bitwidth sum by that sum (descending), estimated LUTs
+(descending) and row number, and only the top k become ``ScoredCandidate``
+objects with exact Decimal estimates.
+``filter_candidates`` and ``select_top`` give the same answer through objects.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
@@ -22,15 +26,19 @@ import numpy as np
 from .components import (
     KEY_COMPONENTS,
     NUM_KEY_COMPONENTS,
+    OVERHEAD_COMPONENTS,
     RESOURCE_ORDER,
     VALID_BITWIDTHS,
     BitwidthCombination,
     ResourceKind,
 )
-from .estimator import EstimateOptions
+from .estimator import OVERHEAD_RULE_MAX, OVERHEAD_RULE_MODE, EstimateOptions
 from .knowledge import KnowledgeDatabase, ResourceVector
 
-TOTAL_COMBINATIONS = len(VALID_BITWIDTHS) ** NUM_KEY_COMPONENTS  # 3^10 = 59,049
+_BASE = len(VALID_BITWIDTHS)
+_LUTS = RESOURCE_ORDER.index(ResourceKind.LUTS)
+TOTAL_COMBINATIONS = _BASE ** NUM_KEY_COMPONENTS  # 3^10 = 59,049
+_PLACE = _BASE ** np.arange(NUM_KEY_COMPONENTS - 1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -94,11 +102,16 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A top-k ranking; ``search`` also keeps the survivors' scaled sums, one
+    row per resource in RESOURCE_ORDER on the denominator 10^places."""
+
     selected: tuple[ScoredCandidate, ...]
     filtered_count: int
     total_count: int
     reduction_pct: Decimal
     runtime_seconds: float = 0.0
+    places: int = 0
+    sums: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -115,26 +128,19 @@ class SearchResult:
             ],
         }
 
-
-_FULL_ENUMERATION: CandidateSet | None = None
+    def histogram(self, resource: ResourceKind, bins: int = 20) -> list[tuple]:
+        """Equal-width histogram of the survivors' estimated utilization."""
+        return _binned(self.sums[RESOURCE_ORDER.index(resource)], self.places, bins)
 
 
 def enumerate_all() -> CandidateSet:
     """All 3^10 combinations in lexicographic order (4 < 6 < 8 per position)."""
-    global _FULL_ENUMERATION
-    if _FULL_ENUMERATION is None:
-        idx = _full_index_array()
-        bits = np.array(VALID_BITWIDTHS, dtype=np.int64)[idx]
-        combos = tuple(BitwidthCombination(tuple(int(b) for b in row)) for row in bits)
-        _FULL_ENUMERATION = CandidateSet(combos=combos)
-    return _FULL_ENUMERATION
-
-
-def _full_index_array() -> np.ndarray:
-    """(3^10, 10) array of bitwidth indices, row i = digits of i base 3."""
-    n = TOTAL_COMBINATIONS
-    place = len(VALID_BITWIDTHS) ** np.arange(NUM_KEY_COMPONENTS - 1, -1, -1, dtype=np.int64)
-    return (np.arange(n, dtype=np.int64)[:, None] // place) % len(VALID_BITWIDTHS)
+    return CandidateSet(
+        combos=tuple(
+            BitwidthCombination(bits)
+            for bits in itertools.product(VALID_BITWIDTHS, repeat=NUM_KEY_COMPONENTS)
+        )
+    )
 
 
 def _decimal_places(value: Decimal) -> int:
@@ -142,87 +148,85 @@ def _decimal_places(value: Decimal) -> int:
     return max(0, -exp) if isinstance(exp, int) else 0
 
 
-def _scaled_tables(
-    db: KnowledgeDatabase, seq_len: int, thresholds: Thresholds, opts: EstimateOptions
-) -> tuple[int, dict[ResourceKind, np.ndarray], dict[ResourceKind, np.ndarray], np.ndarray]:
-    """Integer tables on a common denominator 10^places.
+def _codes(candidates: CandidateSet) -> np.ndarray:
+    """Row numbers of combinations: their bitwidth indices as base-3 digits."""
+    return np.searchsorted(VALID_BITWIDTHS, [c.bits for c in candidates]) @ _PLACE
 
-    Returns (places, key_tables, overhead_totals, threshold_row) where
-    key_tables[kind] has shape (10, 3) and overhead_totals[kind] shape (3,),
-    indexed by bitwidth position in VALID_BITWIDTHS.
-    """
+
+def _kronecker(rows, combine=np.add) -> np.ndarray:
+    """Fold one row per key component, last axis over VALID_BITWIDTHS, into
+    (..., 3^10): entry r combines each row's entry at r's base-3 digit."""
+    out = rows[-1]
+    for row in rows[-2::-1]:
+        out = combine(row[..., :, None], out[..., None, :]).reshape(*row.shape[:-1], -1)
+    return out
+
+
+@functools.cache
+def _enumeration() -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-row bitwidth sum, and per-row overhead bitwidth index for each rule."""
+    digits = [np.arange(_BASE, dtype=np.int8)] * NUM_KEY_COMPONENTS
+    counts = _kronecker([np.eye(_BASE, dtype=np.int8)] * NUM_KEY_COMPONENTS)  # [digit, row]
+    score = _kronecker([np.array(VALID_BITWIDTHS, dtype=np.int64)] * NUM_KEY_COMPONENTS)
+    return score, {
+        OVERHEAD_RULE_MAX: _kronecker(digits, np.maximum),
+        # the most frequent bitwidth, ties to the larger one
+        OVERHEAD_RULE_MODE: _BASE - 1 - counts[::-1].argmax(axis=0),
+    }
+
+
+def _utilization(
+    db: KnowledgeDatabase, seq_len: int, thresholds: Thresholds, opts: EstimateOptions
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(places, sums, limit): sums[j, r] is row r's utilization of resource
+    RESOURCE_ORDER[j], limit[j] its threshold, as integers on a common
+    denominator 10^places."""
+    comps = KEY_COMPONENTS + OVERHEAD_COMPONENTS
     values = [
         db.lookup(seq_len, comp, kind, b)
-        for comp in KEY_COMPONENTS
-        for kind in RESOURCE_ORDER
-        for b in VALID_BITWIDTHS
+        for comp in comps for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS
     ]
     values += [thresholds[kind] for kind in RESOURCE_ORDER]
     places = max(_decimal_places(v) for v in values)
-    factor = Decimal(10) ** places
-
-    def scaled(v: Decimal) -> int:
-        return int(v * factor)
-
-    key_tables = {
-        kind: np.array(
-            [
-                [scaled(db.lookup(seq_len, comp, kind, b)) for b in VALID_BITWIDTHS]
-                for comp in KEY_COMPONENTS
-            ],
-            dtype=np.int64,
-        )
-        for kind in RESOURCE_ORDER
-    }
-    from .components import OVERHEAD_COMPONENTS
-
-    overhead_totals = {
-        kind: np.array(
-            [
-                sum(scaled(db.lookup(seq_len, comp, kind, b)) for comp in OVERHEAD_COMPONENTS)
-                for b in VALID_BITWIDTHS
-            ],
-            dtype=np.int64,
-        )
-        for kind in RESOURCE_ORDER
-    }
-    threshold_row = np.array([scaled(thresholds[kind]) for kind in RESOURCE_ORDER], dtype=np.int64)
-    return places, key_tables, overhead_totals, threshold_row
-
-
-def _sweep(
-    idx: np.ndarray,
-    key_tables: dict,
-    overhead_totals: dict,
-    threshold_row: np.ndarray,
-    opts: EstimateOptions,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate every candidate; returns (pass mask, (k, 4) scaled sums)."""
-    comp_axis = np.arange(NUM_KEY_COMPONENTS)
-    sums = np.empty((idx.shape[0], len(RESOURCE_ORDER)), dtype=np.int64)
-    for j, kind in enumerate(RESOURCE_ORDER):
-        sums[:, j] = key_tables[kind][comp_axis, idx].sum(axis=1)
+    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=np.int64)
+    tables = scaled[: -len(RESOURCE_ORDER)].reshape(len(comps), len(RESOURCE_ORDER), _BASE)
+    sums = _kronecker(tables[:NUM_KEY_COMPONENTS])
     if opts.include_overhead:
-        if opts.overhead_bitwidth_rule == "max":
-            ob_idx = idx.max(axis=1)
-        else:
-            counts = np.stack(
-                [(idx == i).sum(axis=1) for i in range(len(VALID_BITWIDTHS))], axis=1
-            )
-            # argmax of counts with ties to the larger bitwidth
-            best = counts.max(axis=1, keepdims=True)
-            ob_idx = np.where(counts == best, np.arange(len(VALID_BITWIDTHS)), -1).max(axis=1)
-        for j, kind in enumerate(RESOURCE_ORDER):
-            sums[:, j] += overhead_totals[kind][ob_idx]
-    mask = (sums <= threshold_row).all(axis=1)
-    return mask, sums
+        overhead = tables[NUM_KEY_COMPONENTS:].sum(axis=0)
+        sums += overhead[:, _enumeration()[1][opts.overhead_bitwidth_rule]]
+    return places, sums, scaled[-len(RESOURCE_ORDER):, None]
 
 
-def _combo_index_array(candidates: CandidateSet) -> np.ndarray:
-    bw_to_idx = {b: i for i, b in enumerate(VALID_BITWIDTHS)}
-    return np.array(
-        [[bw_to_idx[b] for b in combo.bits] for combo in candidates], dtype=np.int64
-    )
+def _survivors(
+    db: KnowledgeDatabase, seq_len: int, candidates: CandidateSet | None,
+    thresholds: Thresholds, opts: EstimateOptions,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(places, codes, sums) of the candidates within all four thresholds, in
+    input order; all 3^10 rows when candidates is None."""
+    places, sums, limit = _utilization(db, seq_len, thresholds, opts)
+    codes = np.arange(TOTAL_COMBINATIONS)
+    if candidates is not None:
+        codes = _codes(candidates)
+        sums = sums[:, codes]
+    alive = (sums <= limit).all(axis=0)
+    return places, codes[alive], sums[:, alive]
+
+
+def _scored(codes: np.ndarray, sums: np.ndarray, places: int) -> list[ScoredCandidate]:
+    """Objects for the given rows, with exact Decimal estimates."""
+    bits = np.array(VALID_BITWIDTHS)[codes[:, None] // _PLACE % _BASE]
+    result = []
+    for row, vec in zip(bits.tolist(), sums.T.tolist()):
+        combo = BitwidthCombination(tuple(row))
+        estimate = ResourceVector(*(Decimal(v).scaleb(-places) for v in vec))
+        result.append(ScoredCandidate(combo=combo, estimate=estimate, score=combo.score))
+    return result
+
+
+def _reduction(passed: int, total: int) -> Decimal:
+    if total == 0:
+        return Decimal(100)
+    return Decimal(100) * (1 - Decimal(passed) / Decimal(total))
 
 
 def filter_candidates(
@@ -233,28 +237,8 @@ def filter_candidates(
     opts: EstimateOptions = EstimateOptions(),
 ) -> list[ScoredCandidate]:
     """Keep candidates whose estimate meets all four thresholds, in input order."""
-    if seq_len not in db.seq_lens:
-        covered = ", ".join(str(n) for n in sorted(db.seq_lens))
-        from .knowledge import CoverageError
-
-        raise CoverageError(f"seq_len {seq_len} not covered; covered lengths: {covered}")
-
-    idx = _combo_index_array(candidates)
-    places, key_tables, overhead_totals, threshold_row = _scaled_tables(
-        db, seq_len, thresholds, opts
-    )
-
-    mask, sums = _sweep(idx, key_tables, overhead_totals, threshold_row, opts)
-
-    result: list[ScoredCandidate] = []
-    combos = candidates.combos
-    for i in np.flatnonzero(mask):
-        vec = ResourceVector(
-            *(Decimal(int(sums[i, j])).scaleb(-places) for j in range(len(RESOURCE_ORDER)))
-        )
-        combo = combos[i]
-        result.append(ScoredCandidate(combo=combo, estimate=vec, score=combo.score))
-    return result
+    places, codes, sums = _survivors(db, seq_len, candidates, thresholds, opts)
+    return _scored(codes, sums, places)
 
 
 def select_top(
@@ -265,15 +249,11 @@ def select_top(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     ordering = sorted(filtered, key=lambda c: (-c.score, -c.estimate.luts, c.combo.bits))
     total = total_count if total_count is not None else len(filtered)
-    if total == 0:
-        reduction = Decimal(100)
-    else:
-        reduction = Decimal(100) * (1 - Decimal(len(filtered)) / Decimal(total))
     return SearchResult(
-        selected=tuple(ordering[: min(top_k, len(ordering))]),
+        selected=tuple(ordering[:top_k]),
         filtered_count=len(filtered),
         total_count=total,
-        reduction_pct=reduction,
+        reduction_pct=_reduction(len(filtered), total),
     )
 
 
@@ -285,39 +265,55 @@ def search(
     candidates: CandidateSet | None = None,
     opts: EstimateOptions = EstimateOptions(),
 ) -> SearchResult:
-    """Full sweep: enumerate (or take given candidates), filter, rank, select."""
+    """Sweep all 3^10 combinations (or the given candidates), filter, rank and
+    select, building objects for the top_k only."""
     start = time.perf_counter()
-    if candidates is None:
-        candidates = enumerate_all()
-    filtered = filter_candidates(db, seq_len, candidates, thresholds, opts)
-    result = select_top(filtered, top_k, total_count=len(candidates))
+    places, codes, sums = _survivors(db, seq_len, candidates, thresholds, opts)
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    score = _enumeration()[0][codes]
+    rank = np.arange(len(codes))
+    if top_k < len(codes):  # no row below the k-th best score can make the top k
+        rank = np.flatnonzero(score >= np.partition(score, -top_k)[-top_k])
+    top = rank[np.lexsort((codes[rank], -sums[_LUTS, rank], -score[rank]))[:top_k]]
+    total = TOTAL_COMBINATIONS if candidates is None else len(candidates)
     return SearchResult(
-        selected=result.selected,
-        filtered_count=result.filtered_count,
-        total_count=result.total_count,
-        reduction_pct=result.reduction_pct,
+        selected=tuple(_scored(codes[top], sums[:, top], places)),
+        filtered_count=len(codes),
+        total_count=total,
+        reduction_pct=_reduction(len(codes), total),
         runtime_seconds=time.perf_counter() - start,
+        places=places,
+        sums=sums,
     )
+
+
+def _binned(values: np.ndarray, places: int, bins: int) -> list[tuple[Decimal, Decimal, int]]:
+    """Equal-width bins, edges as Decimals, over integers on the denominator
+    10^places: v falls in bin (v - lo) * bins // (hi - lo), floored exactly,
+    and hi in the last bin, so a value on an interior edge opens the upper bin."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if not len(values):
+        return []
+    low, high = values.min(), values.max()
+    lo, hi = (Decimal(int(v)).scaleb(-places) for v in (low, high))
+    if low == high:
+        return [(lo, hi, len(values))]
+    index = np.minimum((values - low) * bins // (high - low), bins - 1)
+    counts = np.bincount(index.astype(np.intp), minlength=bins)
+    width = (hi - lo) / bins
+    return [(lo + width * i, lo + width * (i + 1), int(counts[i])) for i in range(bins)]
 
 
 def histogram(
     filtered: list[ScoredCandidate], resource: ResourceKind, bins: int = 20
 ) -> list[tuple[Decimal, Decimal, int]]:
     """Equal-width histogram of estimated utilization over the filtered set."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not filtered:
-        return []
     values = [c.estimate[resource] for c in filtered]
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return [(lo, hi, len(values))]
-    width = (hi - lo) / bins
-    counts = [0] * bins
-    for v in values:
-        k = min(int((v - lo) / width), bins - 1)
-        counts[k] += 1
-    return [(lo + width * i, lo + width * (i + 1), counts[i]) for i in range(bins)]
+    places = max((_decimal_places(v) for v in values), default=0)
+    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=object)
+    return _binned(scaled, places, bins)
 
 
 def parse_candidate_file(path: str | Path) -> CandidateSet:

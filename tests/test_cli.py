@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestEstimateAndSearch:
         assert lines[0] == "bin_low,bin_high,count"
         assert len(lines) == 11
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 18118
+
+    def test_search_histogram_value_on_interior_edge(self, kb_path, capsys):
+        # with overhead at n=18, BRAM runs from 85.0 to 100.0: 126 survivors sit
+        # exactly on the edge 90.0 and 108 on 95.0, each the low edge of a bin
+        assert run(["search", "--kb", kb_path, "--n", "18", "--overhead", "--t-luts", "80",
+                    "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100",
+                    "--histogram", "bram", "--bins", "9"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        counts = [int(line.split(",")[2]) for line in lines]
+        lows = [Decimal(line.split(",")[0]) for line in lines]
+        assert counts[lows.index(Decimal("90"))] == 126
+        assert counts[lows.index(Decimal("95"))] == 108
+        assert counts == [9, 0, 0, 126, 0, 0, 108, 0, 9]
 
     def test_search_candidate_subset(self, kb_path, tmp_path, capsys):
         combos = tmp_path / "combos.txt"

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from mixprec.components import RESOURCE_ORDER, BitwidthCombination
+from mixprec.cli import run
+from mixprec.components import RESOURCE_ORDER, BitwidthCombination, ComponentId, ResourceKind
 from mixprec.estimator import EstimateOptions, estimate
-from mixprec.knowledge import bundled_database
+from mixprec.knowledge import KnowledgeDatabase, ResourceVector, bundled_database, save
 from mixprec.search import (
     TOTAL_COMBINATIONS,
     CandidateSet,
@@ -23,7 +26,20 @@ from mixprec.search import (
     select_top,
 )
 
+# the module, not the ``mixprec.search`` function the package re-exports
+search_module = importlib.import_module("mixprec.search")
+
 DEFAULT_THRESHOLDS = Thresholds.of(80, 100, 100, 100)
+OPTIONS = {
+    "no-overhead": EstimateOptions(),
+    "max": EstimateOptions(include_overhead=True),
+    "mode": EstimateOptions(include_overhead=True, overhead_bitwidth_rule="mode"),
+}
+THRESHOLD_CASES = {
+    "none-pass": Thresholds.of(0, 0, 0, 0),
+    "pinned": DEFAULT_THRESHOLDS,
+    "all-pass": Thresholds.of(1000, 1000, 1000, 1000),
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +48,13 @@ def db():
 
 
 @pytest.fixture(scope="module")
-def filtered_n12(db):
-    return filter_candidates(db, 12, enumerate_all(), DEFAULT_THRESHOLDS)
+def all_combos():
+    return enumerate_all()
+
+
+@pytest.fixture(scope="module")
+def filtered_n12(db, all_combos):
+    return filter_candidates(db, 12, all_combos, DEFAULT_THRESHOLDS)
 
 
 def independent_predicate(db, seq_len, combo, thresholds, opts=EstimateOptions()):
@@ -43,14 +64,14 @@ def independent_predicate(db, seq_len, combo, thresholds, opts=EstimateOptions()
 
 
 class TestEnumerateAll:
-    def test_cardinality_and_bounds(self):
-        cs = enumerate_all()
+    def test_cardinality_and_bounds(self, all_combos):
+        cs = all_combos
         assert len(cs) == TOTAL_COMBINATIONS == 59049
         assert cs.combos[0] == BitwidthCombination.uniform(4)
         assert cs.combos[-1] == BitwidthCombination.uniform(8)
 
-    def test_lexicographic_order_and_distinct(self):
-        cs = enumerate_all()
+    def test_lexicographic_order_and_distinct(self, all_combos):
+        cs = all_combos
         sample = random.Random(0).sample(range(len(cs) - 1), 500)
         for i in sample:
             assert cs.combos[i].bits < cs.combos[i + 1].bits
@@ -58,8 +79,8 @@ class TestEnumerateAll:
 
 
 class TestFilter:
-    def test_zero_thresholds_empty(self, db):
-        assert filter_candidates(db, 12, enumerate_all(), Thresholds.of(0, 0, 0, 0)) == []
+    def test_zero_thresholds_empty(self, db, all_combos):
+        assert filter_candidates(db, 12, all_combos, Thresholds.of(0, 0, 0, 0)) == []
 
     def test_single_candidate_uniform4(self, db):
         cs = CandidateSet(combos=(BitwidthCombination.uniform(4),))
@@ -76,9 +97,9 @@ class TestFilter:
         for cand in random.Random(1).sample(filtered_n12, 200):
             assert independent_predicate(db, 12, cand.combo, DEFAULT_THRESHOLDS)
 
-    def test_completeness_against_independent_predicate(self, db, filtered_n12):
+    def test_completeness_against_independent_predicate(self, db, all_combos, filtered_n12):
         passing = {c.combo for c in filtered_n12}
-        subsample = random.Random(2).sample(enumerate_all().combos, 1000)
+        subsample = random.Random(2).sample(all_combos.combos, 1000)
         for combo in subsample:
             expected = independent_predicate(db, 12, combo, DEFAULT_THRESHOLDS)
             assert (combo in passing) == expected
@@ -87,22 +108,22 @@ class TestFilter:
         for cand in random.Random(3).sample(filtered_n12, 100):
             assert cand.estimate == estimate(db, 12, cand.combo)
 
-    def test_threshold_monotonicity(self, db, filtered_n12):
+    def test_threshold_monotonicity(self, db, all_combos, filtered_n12):
         higher = Thresholds.of(90, 100, 100, 100)
-        passing_higher = {c.combo for c in filter_candidates(db, 12, enumerate_all(), higher)}
+        passing_higher = {c.combo for c in filter_candidates(db, 12, all_combos, higher)}
         for cand in filtered_n12:
             assert cand.combo in passing_higher
 
-    def test_input_order_preserved(self, db, filtered_n12):
-        order = {c.bits: i for i, c in enumerate(enumerate_all().combos)}
+    def test_input_order_preserved(self, all_combos, filtered_n12):
+        order = {c.bits: i for i, c in enumerate(all_combos.combos)}
         indices = [order[c.combo.bits] for c in filtered_n12]
         assert indices == sorted(indices)
 
 
 class TestSelectTop:
-    def test_score_is_primary_key(self, db):
-        c70 = next(c for c in enumerate_all() if c.score == 70)
-        c72 = next(c for c in enumerate_all() if c.score == 72)
+    def test_score_is_primary_key(self, db, all_combos):
+        c70 = next(c for c in all_combos if c.score == 70)
+        c72 = next(c for c in all_combos if c.score == 72)
         cands = [
             ScoredCandidate(combo=c, estimate=estimate(db, 12, c), score=c.score)
             for c in (c70, c72)
@@ -152,6 +173,17 @@ class TestSearch:
         assert result.filtered_count == 1
         assert result.selected[0].combo == BitwidthCombination.uniform(4)
 
+    def test_overhead_entry_with_more_decimal_places(self, db):
+        # the common denominator must cover overhead entries too, not only key ones
+        key = (12, ComponentId.O_MODEL, ResourceKind.LUTS, 8)
+        entries = {**db.entries, key: db.entries[key] + Decimal("0.05")}
+        finer = KnowledgeDatabase(entries=entries, seq_lens=db.seq_lens)
+        opts = EstimateOptions(include_overhead=True)
+        result = search(finer, 12, Thresholds.of(1000, 1000, 1000, 1000), opts=opts)
+        assert result.selected[0].combo == BitwidthCombination.uniform(8)
+        for cand in result.selected:
+            assert cand.estimate == estimate(finer, 12, cand.combo, opts)
+
     def test_json_shape(self, db):
         doc = search(db, 12, DEFAULT_THRESHOLDS).to_dict()
         assert doc["total"] == 59049
@@ -160,17 +192,129 @@ class TestSearch:
         assert set(doc["selected"][0]["estimate"]) == {"luts", "dram", "bram", "dsps"}
 
 
-class TestHistogram:
-    def test_counts_sum_to_filtered(self, filtered_n12):
-        from mixprec.components import ResourceKind
+def assert_same_ranking(got, want):
+    assert got.selected == want.selected
+    assert got.filtered_count == want.filtered_count
+    assert got.total_count == want.total_count
+    assert got.reduction_pct == want.reduction_pct
 
+
+class TestIndexSpaceMatchesObjects:
+    """search() ranks row numbers; select_top(filter_candidates()) ranks objects."""
+
+    @pytest.mark.parametrize("n,opts,thresholds", [
+        pytest.param(n, opts, thresholds, id=f"{n}-{o}-{t}")
+        for n in (12, 18, 24)
+        for o, opts in OPTIONS.items()
+        for t, thresholds in THRESHOLD_CASES.items()
+        # every row surviving makes the object reference slow: once per overhead rule
+        if t != "all-pass" or n == 12
+    ])
+    def test_full_space(self, db, all_combos, n, opts, thresholds):
+        filtered = filter_candidates(db, n, all_combos, thresholds, opts)
+        for k in (1, 5, len(filtered) + 1):
+            want = select_top(filtered, k, total_count=TOTAL_COMBINATIONS)
+            assert_same_ranking(search(db, n, thresholds, top_k=k, opts=opts), want)
+
+    @pytest.mark.parametrize("opts", OPTIONS.values(), ids=OPTIONS)
+    def test_shuffled_subset_ties_break_by_combination(self, db, all_combos, opts):
+        combos = random.Random(5).sample(all_combos.combos, 3000)
+        subset = CandidateSet(combos=tuple(combos))
+        filtered = filter_candidates(db, 12, subset, DEFAULT_THRESHOLDS, opts)
+        passing = {c.combo for c in filtered}
+        assert [c.combo for c in filtered] == [c for c in combos if c in passing]
+        for k in (1, 5, len(filtered) + 1):
+            want = select_top(filtered, k, total_count=len(subset))
+            got = search(db, 12, DEFAULT_THRESHOLDS, top_k=k, candidates=subset, opts=opts)
+            assert_same_ranking(got, want)
+        # the subset has (score, LUTs) ties that file order would break differently
+        position = {c: i for i, c in enumerate(combos)}
+        by_file = sorted(filtered, key=lambda c: (-c.score, -c.estimate.luts, position[c.combo]))
+        assert by_file != list(want.selected)
+
+
+def spy_on_scored(monkeypatch) -> list:
+    built = []
+
+    class Counted(search_module.ScoredCandidate):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(search_module, "ScoredCandidate", Counted)
+    return built
+
+
+class TestMaterialization:
+    @pytest.mark.parametrize(
+        "n,thresholds,top_k",
+        [(12, DEFAULT_THRESHOLDS, 5), (12, Thresholds.of(0, 0, 0, 0), 5),
+         (18, DEFAULT_THRESHOLDS, 1), (24, DEFAULT_THRESHOLDS, 1000)],
+    )
+    def test_search_builds_only_the_top_k(self, db, monkeypatch, n, thresholds, top_k):
+        built = spy_on_scored(monkeypatch)
+        result = search(db, n, thresholds, top_k=top_k)
+        assert len(built) == min(top_k, result.filtered_count) == len(result.selected)
+
+    def test_histogram_request_sweeps_once(self, db, tmp_path, monkeypatch, capsys):
+        kb = tmp_path / "kb.json"
+        save(db, kb)
+        sweeps = []
+        sweep = search_module._utilization
+        monkeypatch.setattr(search_module, "_utilization", lambda *a: sweeps.append(a) or sweep(*a))
+        built = spy_on_scored(monkeypatch)
+        assert run(["search", "--kb", str(kb), "--n", "12", "--t-luts", "80", "--t-dram", "100",
+                    "--t-bram", "100", "--t-dsps", "100", "--top", "3",
+                    "--histogram", "luts", "--bins", "10"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert sum(int(line.split(",")[2]) for line in lines[1:]) == 18118
+        assert len(sweeps) == 1
+        assert len(built) == 3
+
+
+def exact_counts(values: list[Decimal], bins: int) -> list[int]:
+    """Bin i holds lo + i*w <= v < lo + (i+1)*w, in exact fractions; hi goes last."""
+    values = [Fraction(v) for v in values]
+    lo, hi = min(values), max(values)
+    width = (hi - lo) / bins
+    counts = [0] * bins
+    for v in values:
+        i = next(i for i in range(bins) if v < lo + (i + 1) * width or i == bins - 1)
+        assert lo + i * width <= v
+        counts[i] += 1
+    return counts
+
+
+def scored_with_luts(luts: str) -> ScoredCandidate:
+    return ScoredCandidate(
+        combo=BitwidthCombination.uniform(4), estimate=ResourceVector.of(luts, 0, 0, 0), score=40
+    )
+
+
+class TestHistogram:
+    def test_value_on_interior_edge_opens_the_upper_bin(self):
+        # (95.0 - 80.0) / 9 rounds up at 28 digits, yet 90.0 is exactly edge 6
+        bins = histogram([scored_with_luts(v) for v in ("80.0", "90.0", "95.0")], ResourceKind.LUTS, 9)
+        assert [count for _, _, count in bins] == [1, 0, 0, 0, 0, 0, 1, 0, 1]
+        assert bins[6][0] == Decimal("90.0")
+
+    @pytest.mark.parametrize("bins", [1, 7, 9, 20])
+    @pytest.mark.parametrize("kind", list(ResourceKind))
+    def test_counts_are_exact_and_search_bins_the_same(self, db, all_combos, kind, bins):
+        # n=18 with overhead has BRAM values on interior edges at 9 bins
+        opts = EstimateOptions(include_overhead=True)
+        filtered = filter_candidates(db, 18, all_combos, DEFAULT_THRESHOLDS, opts)
+        got = histogram(filtered, kind, bins)
+        values = [c.estimate[kind] for c in filtered]
+        assert [count for _, _, count in got] == exact_counts(values, bins)
+        assert search(db, 18, DEFAULT_THRESHOLDS, opts=opts).histogram(kind, bins) == got
+
+    def test_counts_sum_to_filtered(self, filtered_n12):
         bins = histogram(filtered_n12, ResourceKind.LUTS, bins=20)
         assert sum(count for _, _, count in bins) == len(filtered_n12)
         assert len(bins) == 20
 
     def test_empty(self):
-        from mixprec.components import ResourceKind
-
         assert histogram([], ResourceKind.LUTS) == []
 
 
