@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -537,10 +538,16 @@ def build_parser() -> _CliArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> _CliArgumentParser:
+    """The process's one parser: ``parse_args`` reads it and returns a fresh
+    namespace, so calls share no state through it."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 0 for --help/--version, our error() raises 1
         return int(e.code or 0)

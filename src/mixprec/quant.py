@@ -173,10 +173,17 @@ def fake_quantize(values: np.ndarray, params: QuantParams) -> tuple[np.ndarray, 
     range, i.e. where the straight-through gradient is 1.
     """
     values = np.asarray(values, dtype=np.float64)
-    raw = round_half_away(values / params.scale) + params.zero_point
-    inside = (raw >= params.q_min) & (raw <= params.q_max)
+    # round_half_away(values / scale) + zero_point, in place on a fresh array
+    # (never on ``values``, often a model's own weights; an array even for 0-d)
+    raw = np.divide(values, params.scale, out=np.empty_like(values))
+    raw += np.copysign(0.5, raw)
+    np.trunc(raw, out=raw)
+    raw += params.zero_point
     q = np.clip(raw, params.q_min, params.q_max)
-    return params.scale * (q - params.zero_point), inside
+    inside = q == raw  # False where clipped, and for NaN
+    q -= params.zero_point
+    q *= params.scale
+    return q, inside
 
 
 # Requantizer multiplier precision: 31-bit normalized mantissa.

@@ -568,6 +568,12 @@ class _FakeEngine(Dataflow):
         self.weight_params = _weight_params(model, plan)
 
     def _snap(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
+        # fake_quantize gives the bits and mask of round_half_away -> clip, so
+        # the eval forward still equals the integer engine. The mask is all
+        # training.backward learns of a junction, and that one backward serves
+        # every interpretation: gradients agree exactly across them, and only
+        # its summed (batch, seq_len) weight gradients differ from an einsum
+        # reference, in the last places
         if self.surrogate:
             lo, hi = params.real_range()
             inside = (value >= lo) & (value <= hi)

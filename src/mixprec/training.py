@@ -99,6 +99,15 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     them in the float forward) passes the gradient unchanged. The positional
     table's gradient is computed too (it is simply excluded from optimizer
     updates).
+
+    Every interpretation (float, fake-quant, QAT surrogate) runs this one
+    function, so a given cache gets the same gradient bits whichever forward
+    recorded it. Each weight gradient is one BLAS matmul over all batch *
+    seq_len rows; for the seven linears with (batch, seq_len, features)
+    inputs that sums in a different order than a per-window ``einsum``, so
+    those gradients differ from an einsum reference only in the last places
+    (within 2 * gamma_N * sum|x||d|, N the row count). Every other gradient
+    is bit-identical to the hand-written float backward.
     """
     p = model.params
     masks = cache["masks"]
@@ -114,10 +123,8 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
 
     def linear_back(name: str, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
         """Weight and bias gradients of ``x @ w + b``; returns the input's."""
-        if x.ndim == 2:
-            d_w = x.T @ d_out
-        else:
-            d_w = np.einsum("bni,bnj->ij", x, d_out)
+        # one BLAS matmul over the (batch * seq_len) rows; a no-op reshape in 2-D
+        d_w = x.reshape(-1, x.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
         grads[f"{name}.weight"] = mask(f"w:{name}", d_w)
         d_b = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
         grads[f"{name}.bias"] = mask(f"b:{name}", d_b)

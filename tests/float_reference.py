@@ -3,8 +3,11 @@
 This is the encoder's float graph spelled out once forward and once in
 reverse, with no hooks and no masks. ``mixprec.model.forward_float`` and
 ``mixprec.training.backward`` interpret one shared dataflow description, so
-they must reproduce these two functions bit for bit. The batch-norm helpers
-are imported: their float arithmetic is not part of the dataflow.
+they must reproduce these two functions bit for bit, except for the weight
+gradients over (batch, seq_len, features) operands: this file sums those with
+``einsum``, the library with one matmul over the batch * seq_len rows, so
+they agree to within the rounding of two summation orders. The batch-norm
+helpers are imported: their float arithmetic is not part of the dataflow.
 """
 
 from __future__ import annotations
@@ -66,7 +69,13 @@ def forward_float(
     return (Y[0] if single else Y), cache
 
 
-def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
+def backward(
+    model: FloatModel, cache: dict, dY: np.ndarray, operands: dict | None = None
+) -> dict[str, np.ndarray]:
+    """Float gradients; ``operands``, if given, receives the (x, d_out) pair
+    behind each einsum weight gradient, keyed by linear name."""
+    if operands is None:
+        operands = {}
     p = model.params
     d = model.config.d_model
     n = model.config.seq_len
@@ -89,11 +98,13 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     dA = dR2.copy()
     dF2 = dR2
     F1 = cache["F1"]
+    operands["ffn.w2"] = (F1, dF2)
     grads["ffn.w2.weight"] = np.einsum("bnf,bnd->fd", F1, dF2)
     grads["ffn.w2.bias"] = dF2.sum(axis=(0, 1))
     dF1 = dF2 @ p["ffn.w2.weight"].T
     dF1_pre = dF1 * (cache["F1_pre"] > 0)
     A = cache["A"]
+    operands["ffn.w1"] = (A, dF1_pre)
     grads["ffn.w1.weight"] = np.einsum("bnd,bnf->df", A, dF1_pre)
     grads["ffn.w1.bias"] = dF1_pre.sum(axis=(0, 1))
     dA += dF1_pre @ p["ffn.w1.weight"].T
@@ -105,6 +116,7 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     dXe = dR1.copy()
     d_mha = dR1
     ctx = cache["ctx"]
+    operands["mha.wo"] = (ctx, d_mha)
     grads["mha.wo.weight"] = np.einsum("bnd,bne->de", ctx, d_mha)
     grads["mha.wo.bias"] = d_mha.sum(axis=(0, 1))
     d_ctx = d_mha @ p["mha.wo.weight"].T
@@ -119,6 +131,7 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
 
     Xe = cache["Xe"]
     for name, dT in (("mha.wq", dQ), ("mha.wk", dK), ("mha.wv", dV)):
+        operands[name] = (Xe, dT)
         grads[f"{name}.weight"] = np.einsum("bnd,bne->de", Xe, dT)
         grads[f"{name}.bias"] = dT.sum(axis=(0, 1))
         dXe += dT @ p[f"{name}.weight"].T
@@ -126,6 +139,7 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     grads["pos_encoding"] = dXe.sum(axis=0)
     dH = dXe
     X = cache["X"]
+    operands["l_input"] = (X, dH)
     grads["l_input.weight"] = np.einsum("bnm,bnd->md", X, dH)
     grads["l_input.bias"] = dH.sum(axis=(0, 1))
 

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixprec.cli import run
+from mixprec.cli import USAGE_ERROR, run
 from mixprec.components import ALL_COMPONENTS
 from mixprec.data import make_synthetic
-from mixprec.knowledge import bundled_database, save
+from mixprec.knowledge import bundled_database, load, save
+from mixprec.search import Thresholds, search
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,27 @@ class TestExitCodes:
         assert run(["--version"]) == 0
         out = capsys.readouterr().out
         assert "mixprec" in out and "kb schema 1" in out
+
+
+class TestParserReuse:
+    """``run`` parses every call with one parser per process."""
+
+    def test_back_to_back_runs_leak_no_state(self, kb_path, capsys):
+        argv = ["search", "--kb", kb_path, "--n", "18", "--t-luts", "80", "--t-dram", "100",
+                "--t-bram", "100", "--t-dsps", "100", "--json"]
+        expected = search(load(kb_path), 18, Thresholds.of(80, 100, 100, 100)).to_dict()
+        with_overhead = run_json(capsys, [*argv, "--overhead", "--top", "3"])
+        plain = run_json(capsys, argv)
+        with_overhead.pop("runtime_seconds"), plain.pop("runtime_seconds")
+        assert with_overhead != plain
+        assert plain == json.loads(json.dumps(expected))
+
+        assert run(["search", "--kb", kb_path, "--frobnicate"]) == USAGE_ERROR
+        assert run(["estimate", "--help"]) == 0
+        assert "--combo" in capsys.readouterr().out
+        again = run_json(capsys, argv)
+        again.pop("runtime_seconds")
+        assert again == plain
 
 
 class TestKb:

@@ -17,6 +17,7 @@ from mixprec.quant import (
     dequantize,
     derive_bias_params,
     fake_quantize,
+    int_range,
     make_requantizer,
     plan_cascade,
     quantize,
@@ -132,6 +133,43 @@ class TestQuantizeDequantize:
         dq, inside = fake_quantize(np.array([0.5, 2.0, -1.0]), p)
         assert list(inside) == [True, False, False]
         assert dq[1] == pytest.approx(1.0)  # clamped to the top of the range
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fake_quantize_matches_the_rounding_formula_bit_for_bit(self, data):
+        bitwidth = data.draw(st.integers(2, 24), label="bitwidth")
+        signed = data.draw(st.booleans(), label="signed")
+        q_min, q_max = int_range(bitwidth, signed)
+        if signed and data.draw(st.booleans(), label="symmetric"):
+            zero_point, scheme = 0, QuantScheme.SYMMETRIC
+        else:
+            zero_point, scheme = data.draw(st.integers(q_min, q_max)), QuantScheme.ASYMMETRIC
+        scale = data.draw(st.floats(1e-6, 1e3), label="scale")
+        p = QuantParams(scale, zero_point, bitwidth, signed, scheme)
+
+        # grid offsets from the zero point: exact grid points, ties at (k + 1/2)
+        # * scale, and their neighbours at, inside and beyond q_min and q_max
+        offset = st.sampled_from([q_min, q_max]).flatmap(
+            lambda edge: st.integers(edge - zero_point - 3, edge - zero_point + 3)
+        ) | st.integers(q_min - zero_point - 3, q_max - zero_point + 3)
+        on_grid = st.builds(lambda k, half: (k + half) * scale, offset, st.sampled_from([0, 0.5]))
+        nudged = st.builds(
+            lambda v, toward: float(np.nextafter(v, toward)),
+            on_grid, st.sampled_from([-math.inf, math.inf]),
+        )
+        special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+        value = on_grid | nudged | special | st.floats(allow_nan=True, allow_infinity=True)
+        values = np.array(data.draw(st.lists(value, min_size=1, max_size=40), label="values"))
+        before = values.copy()
+
+        out, inside = fake_quantize(values, p)
+
+        raw = round_half_away(values / p.scale) + p.zero_point
+        expected_inside = (raw >= p.q_min) & (raw <= p.q_max)
+        expected = p.scale * (np.clip(raw, p.q_min, p.q_max) - p.zero_point)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        assert np.array_equal(inside, expected_inside)
+        assert values.tobytes() == before.tobytes()
 
     def test_quantized_tensor_rejects_out_of_range(self):
         p = QuantParams(1.0, 0, 4, True, QuantScheme.ASYMMETRIC)
