@@ -41,7 +41,7 @@ from .knowledge import (
     parse_report,
     save,
 )
-from .model import FloatModel, ModelConfig, forward_float, init, load_model, save_model
+from .model import Dataflow, FloatModel, ModelConfig, init, load_model, save_model
 from .quantized import CalibrationError, forward_integer, quantize_model
 from .search import Thresholds, parse_candidate_file, search
 from .training import TrainConfig, train, train_qat
@@ -291,8 +291,7 @@ def cmd_quantize(args) -> int:
 
 def _predict(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, FloatModel):
-        pred, _ = forward_float(model, X)
-        return pred[:, 0]
+        return Dataflow(model).predict(X)[:, 0]
     return forward_integer(model, model.quantize_input(X))[:, 0]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -138,6 +137,32 @@ def _parse_timestamp(text: str, where: str) -> float:
             raise ValueError(f"{where}: bad timestamp {text!r}") from e
 
 
+def _first_bad_cell(rows: list[list[str]], header: list[str], ts_idx: int | None) -> ValueError:
+    """The error for the first offending row, in file order: a row with the
+    wrong cell count, or the first cell of a complete row that does not parse."""
+    for lineno, raw in enumerate(rows, start=2):
+        if not any(map(str.strip, raw)):
+            continue
+        if len(raw) != len(header):
+            return ValueError(f"row {lineno}: expected {len(header)} cells, got {len(raw)}")
+        if not all(map(str.strip, raw)):
+            continue
+        for i, (col, cell) in enumerate(zip(header, raw)):
+            cell = cell.strip()
+            where = f"row {lineno}, column {col!r}"
+            if i == ts_idx:
+                try:
+                    _parse_timestamp(cell, where)
+                except ValueError as e:
+                    return e
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                return ValueError(f"{where}: non-numeric {cell!r}")
+    raise AssertionError("no offending cell")  # pragma: no cover - callers found one
+
+
 def ingest(
     source: str | Path,
     target_column: str,
@@ -148,6 +173,9 @@ def ingest(
     ``source`` is a path or raw CSV text. Rows with empty cells split the
     series; with a timestamp column, gaps above 1.5x the nominal (median)
     sampling period split it too. Non-numeric cells are an error.
+
+    The csv module splits the rows; NumPy parses the complete rows' numbers
+    in one call, with Python's ``float`` rules, and segments them.
     """
     if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
         text = Path(source).read_text()
@@ -155,72 +183,51 @@ def ingest(
         text = source
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
+        if target_column not in header:
+            raise ValueError(f"unknown target column {target_column!r}; columns: {header}")
+        if timestamp_column is not None and timestamp_column not in header:
+            raise ValueError(f"unknown timestamp column {timestamp_column!r}")
+        if timestamp_column and header.count(timestamp_column) > 1:
+            raise ValueError(f"timestamp column {timestamp_column!r} appears more than once")
+        rows = list(reader)
     except StopIteration:
         raise ValueError("CSV has no header row") from None
-    header = [h.strip() for h in header]
-    if target_column not in header:
-        raise ValueError(f"unknown target column {target_column!r}; columns: {header}")
-    if timestamp_column is not None and timestamp_column not in header:
-        raise ValueError(f"unknown timestamp column {timestamp_column!r}")
+    except csv.Error as e:  # a cell over csv.field_size_limit(), a bare \r in text
+        raise ValueError(f"row {reader.line_num}: {e}") from None
 
     ts_idx = header.index(timestamp_column) if timestamp_column else None
     feature_cols = [h for i, h in enumerate(header) if i != ts_idx]
 
-    rows: list[np.ndarray | None] = []  # None marks a dropped (gappy) row
-    stamps: list[float] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw or all(not c.strip() for c in raw):
-            rows.append(None)
-            continue
-        if len(raw) != len(header):
-            raise ValueError(f"row {lineno}: expected {len(header)} cells, got {len(raw)}")
-        if any(not c.strip() for c in raw):
-            rows.append(None)
-            continue
-        values = []
-        stamp = math.nan
-        for col, cell in zip(header, raw):
-            cell = cell.strip()
-            if ts_idx is not None and col == timestamp_column:
-                stamp = _parse_timestamp(cell, f"row {lineno}, column {col!r}")
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError as e:
-                raise ValueError(f"row {lineno}, column {col!r}: non-numeric {cell!r}") from e
-        rows.append(np.array(values))
-        stamps.append(stamp)
+    # a complete row has every cell; any other row is a gap unless it has
+    # content but the wrong cell count, which is an error
+    complete = [len(raw) == len(header) and all(map(str.strip, raw)) for raw in rows]
+    kept = np.flatnonzero(complete)
+    try:
+        if any(len(raw) != len(header) and any(map(str.strip, raw)) for raw in rows):
+            raise ValueError
+        body = [rows[i] for i in kept]
+        if ts_idx is None:
+            values = np.array(body, dtype=np.float64).reshape(len(kept), len(header))
+        else:
+            values = np.array(
+                [raw[:ts_idx] + raw[ts_idx + 1:] for raw in body], dtype=np.float64
+            ).reshape(len(kept), len(feature_cols))
+            stamps = np.array([_parse_timestamp(raw[ts_idx].strip(), "") for raw in body])
+    except ValueError:
+        raise _first_bad_cell(rows, header, ts_idx) from None
 
-    # nominal sampling period from the median of consecutive-stamp diffs
-    gap_after: set[int] = set()
+    if not len(kept):
+        raise ValueError("no usable rows in CSV")
+    # a new segment after every dropped row and, with timestamps, after every
+    # step above GAP_FACTOR times the median positive step
+    split = np.diff(kept) > 1
     if ts_idx is not None and len(stamps) > 2:
         diffs = np.diff(stamps)
         positive = diffs[diffs > 0]
         if positive.size:
-            nominal = float(np.median(positive))
-            for i in range(1, len(stamps)):
-                if stamps[i] - stamps[i - 1] > GAP_FACTOR * nominal:
-                    gap_after.add(i - 1)
-
-    segments: list[np.ndarray] = []
-    current: list[np.ndarray] = []
-    kept_i = 0
-    for row in rows:
-        if row is None:
-            if current:
-                segments.append(np.stack(current))
-                current = []
-            continue
-        if kept_i - 1 in gap_after and current:
-            segments.append(np.stack(current))
-            current = []
-        current.append(row)
-        kept_i += 1
-    if current:
-        segments.append(np.stack(current))
-    if not segments:
-        raise ValueError("no usable rows in CSV")
+            split |= diffs > GAP_FACTOR * float(np.median(positive))
+    segments = np.split(values, np.flatnonzero(split) + 1)
     return TimeSeries(columns=feature_cols, target_column=target_column, segments=segments)
 
 

@@ -263,6 +263,20 @@ WEIGHT_COMPONENT = {
 }
 
 
+# Windows per eval-mode pass (``Dataflow.predict``). Eval windows are
+# independent: batch norm takes running statistics, the softmax is row-wise
+# and pooling is per window. So batching changes no bit of the integer path,
+# nor of the float paths while the batch size is a multiple of the rows
+# BLAS's matrix-vector kernel sums together (the output linear's; see
+# tests/test_eval_batches.py). At d_model=64 a batch's largest temporary, the
+# FFN hidden layer, is 1.5 MB. For the integer path, all 1,988 windows of
+# the bundled series at once allocate fresh 49 MB arrays whose page faults
+# swing the run time; for calibration, one float pass over the 1,789
+# training windows keeps every intermediate in its cache and peaks near
+# 250 MB of tracemalloc, batches of 64 near 9 MB.
+EVAL_BATCH = 64
+
+
 class Dataflow:
     """The encoder graph ``NODES`` lists, computed.
 
@@ -272,13 +286,12 @@ class Dataflow:
     quantization snaps values to grids, the integer engine computes on
     int64 grid values). The cache ``run`` returns feeds
     ``training.backward``, which reads straight-through masks from
-    ``cache["masks"]`` where a subclass recorded them.
+    ``cache["masks"]`` where a subclass recorded them. ``predict`` is the
+    eval-only entry point: ``run`` over ``EVAL_BATCH`` windows at a time.
     """
 
     def __init__(self, model: FloatModel):
         self.model = model
-        self.masks: dict[str, np.ndarray] = {}
-        self.cache: dict = {"masks": self.masks}
 
     def as_input(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64)
@@ -329,6 +342,9 @@ class Dataflow:
     def run(self, X: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        # a fresh cache per run, so a batch's intermediates die with the next
+        self.masks: dict[str, np.ndarray] = {}
+        self.cache: dict = {"masks": self.masks}
         X = self.as_input(X)
         single = X.ndim == 2
         if single:
@@ -369,6 +385,17 @@ class Dataflow:
             R2=r2, F=f, g=g, Y=y, mode=mode,
         )
         return (y[0] if single else y), self.cache
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Eval-mode outputs of ``run``, ``EVAL_BATCH`` windows at a time;
+        the cache holds the last batch only."""
+        X = self.as_input(X)
+        if X.ndim != 3:
+            return self.run(X, "eval")[0]
+        return np.concatenate([
+            self.run(X[i:i + EVAL_BATCH], "eval")[0]
+            for i in range(0, max(len(X), 1), EVAL_BATCH)
+        ])
 
 
 def forward_float(

@@ -44,7 +44,6 @@ from .model import (
     FloatModel,
     ModelConfig,
     fold_bn,
-    forward_float,
     tensor_shapes,
 )
 from .quant import (
@@ -85,21 +84,26 @@ def junction_bitwidth(plan: CascadePlan, junction: str) -> int:
 
 
 class _RangeRecorder(Dataflow):
-    """The float dataflow, recording each junction's (min, max)."""
+    """The float dataflow, recording each junction's (min, max) over every
+    batch it runs."""
 
     def __init__(self, model: FloatModel):
         super().__init__(model)
         self.ranges: dict[str, tuple[float, float]] = {}
 
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
-        self.ranges[junction] = (float(value.min()), float(value.max()))
+        lo, hi = self.ranges.get(junction, (math.inf, -math.inf))
+        # np.minimum and np.maximum, unlike min and max, keep a NaN of any batch
+        self.ranges[junction] = (
+            float(np.minimum(lo, value.min())), float(np.maximum(hi, value.max()))
+        )
         return value
 
 
 def collect_ranges(model: FloatModel, X: np.ndarray) -> dict[str, tuple[float, float]]:
-    """Observed (min, max) per junction from a float forward over a batch."""
+    """Observed (min, max) per junction from an eval-mode float pass over X."""
     recorder = _RangeRecorder(model)
-    recorder.run(X, mode="eval")
+    recorder.predict(X)
     return recorder.ranges
 
 
@@ -120,7 +124,7 @@ def calibration_from_ranges(
 def calibrate(
     model: FloatModel, combo: BitwidthCombination, calibration_data: np.ndarray
 ) -> CalibrationSet:
-    """Post-training calibration: one float pass over the calibration batch."""
+    """Post-training calibration: one eval-mode float pass over the data."""
     data = np.asarray(calibration_data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("calibration data must be non-empty")
@@ -444,28 +448,13 @@ def _centered(x_q: np.ndarray, zero_point: int) -> np.ndarray:
     return np.subtract(x_q, zero_point, dtype=np.float64)
 
 
-# windows per integer pass: at d_model=64 a batch's largest temporary (the FFN
-# hidden layer) is 1.5 MB, where all 1,988 windows of the bundled series at
-# once allocate fresh 49 MB arrays whose page faults swing the run time
-_BATCH = 64
-
-
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     """Integer-only inference; returns the dequantized output."""
     if X_q.params != qm.act_params["input"]:
         raise ValueError("input quantization parameters do not match the model's input grid")
-    x = X_q.data
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    engine = _IntegerEngine(qm)
-    # windows are independent, so batching leaves every output bit unchanged
-    y_q = np.concatenate([
-        engine.run(x[i:i + _BATCH], "eval")[0] for i in range(0, max(len(x), 1), _BATCH)
-    ])
+    y_q = _IntegerEngine(qm).predict(X_q.data)
     yp = qm.act_params["output"]
-    y = yp.scale * (y_q.astype(np.float64) - yp.zero_point)
-    return y[0] if single else y
+    return yp.scale * (y_q.astype(np.float64) - yp.zero_point)
 
 
 class _IntegerEngine(Dataflow):
@@ -649,12 +638,11 @@ def forward_fake_quant(
     simulation is disabled and this equals the plain float forward exactly.
     """
     if combo is None:
-        return forward_float(model, X, mode="eval")[0]
+        return Dataflow(model).predict(X)
     if calib is None:
         raise CalibrationError("fake-quant forward requires calibration parameters")
     plan = plan_cascade(combo)
-    engine = _FakeEngine(model, plan, lambda junction, _: calib.require(junction))
-    return engine.run(X, mode="eval")[0]
+    return _FakeEngine(model, plan, lambda junction, _: calib.require(junction)).predict(X)
 
 
 # --- quantization-aware training ----------------------------------------------
@@ -721,7 +709,7 @@ class QatContext:
         engine = _FakeEngine(
             model, self.plan, _EmaProvider(self, observe=False), surrogate=self.surrogate
         )
-        return engine.run(X, mode="eval")[0]
+        return engine.predict(X)
 
     def backward(self, model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
         return training.backward(model, cache, dY)

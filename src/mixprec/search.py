@@ -15,7 +15,7 @@ objects with exact Decimal estimates.
 from __future__ import annotations
 
 import functools
-import itertools
+import re
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -39,6 +39,9 @@ _BASE = len(VALID_BITWIDTHS)
 _LUTS = RESOURCE_ORDER.index(ResourceKind.LUTS)
 TOTAL_COMBINATIONS = _BASE ** NUM_KEY_COMPONENTS  # 3^10 = 59,049
 _PLACE = _BASE ** np.arange(NUM_KEY_COMPONENTS - 1, -1, -1)
+# a candidate file of lines "d,d,...,d\n" only, each d a single-digit bitwidth
+_DIGIT = "[" + "".join(map(str, VALID_BITWIDTHS)) + "]"
+_PLAIN_LINES = re.compile(f"(?:{_DIGIT}(?:,{_DIGIT}){{{NUM_KEY_COMPONENTS - 1}}}\\n)+")
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,42 @@ class Thresholds:
         return getattr(self, "t_" + kind.value)
 
 
-@dataclass(frozen=True)
+def _bits(codes: np.ndarray) -> np.ndarray:
+    """The (rows, 10) bitwidths of the given row numbers."""
+    return np.array(VALID_BITWIDTHS)[codes[:, None] // _PLACE % _BASE]
+
+
 class CandidateSet:
-    """Ordered, duplicate-free set of combinations to explore."""
+    """Ordered, duplicate-free set of combinations to explore.
 
-    combos: tuple[BitwidthCombination, ...]
+    Held as row numbers, ``codes``; built from combinations or from codes,
+    it makes the other form on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.combos:
+    def __init__(
+        self,
+        combos: tuple[BitwidthCombination, ...] | None = None,
+        *,
+        codes: np.ndarray | None = None,
+    ):
+        if (combos is None) == (codes is None):
+            raise TypeError("give exactly one of combos or codes")
+        if combos is not None:
+            self.__dict__["combos"] = combos = tuple(combos)
+            bits = np.array([c.bits for c in combos]).reshape(-1, NUM_KEY_COMPONENTS)
+            codes = np.searchsorted(VALID_BITWIDTHS, bits) @ _PLACE
+        self.codes = np.asarray(codes, dtype=np.int64)
+        if not len(self.codes):
             raise ValueError("candidate set must be non-empty")
-        if len(set(self.combos)) != len(self.combos):
+        if (np.diff(np.sort(self.codes)) == 0).any():
             raise ValueError("candidate set contains duplicates")
 
+    @functools.cached_property
+    def combos(self) -> tuple[BitwidthCombination, ...]:
+        return tuple(BitwidthCombination(tuple(row)) for row in _bits(self.codes).tolist())
+
     def __len__(self) -> int:
-        return len(self.combos)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.combos)
@@ -135,22 +160,12 @@ class SearchResult:
 
 def enumerate_all() -> CandidateSet:
     """All 3^10 combinations in lexicographic order (4 < 6 < 8 per position)."""
-    return CandidateSet(
-        combos=tuple(
-            BitwidthCombination(bits)
-            for bits in itertools.product(VALID_BITWIDTHS, repeat=NUM_KEY_COMPONENTS)
-        )
-    )
+    return CandidateSet(codes=np.arange(TOTAL_COMBINATIONS))
 
 
 def _decimal_places(value: Decimal) -> int:
     exp = value.as_tuple().exponent
     return max(0, -exp) if isinstance(exp, int) else 0
-
-
-def _codes(candidates: CandidateSet) -> np.ndarray:
-    """Row numbers of combinations: their bitwidth indices as base-3 digits."""
-    return np.searchsorted(VALID_BITWIDTHS, [c.bits for c in candidates]) @ _PLACE
 
 
 def _kronecker(rows, combine=np.add) -> np.ndarray:
@@ -206,7 +221,7 @@ def _survivors(
     places, sums, limit = _utilization(db, seq_len, thresholds, opts)
     codes = np.arange(TOTAL_COMBINATIONS)
     if candidates is not None:
-        codes = _codes(candidates)
+        codes = candidates.codes
         sums = sums[:, codes]
     alive = (sums <= limit).all(axis=0)
     return places, codes[alive], sums[:, alive]
@@ -214,9 +229,8 @@ def _survivors(
 
 def _scored(codes: np.ndarray, sums: np.ndarray, places: int) -> list[ScoredCandidate]:
     """Objects for the given rows, with exact Decimal estimates."""
-    bits = np.array(VALID_BITWIDTHS)[codes[:, None] // _PLACE % _BASE]
     result = []
-    for row, vec in zip(bits.tolist(), sums.T.tolist()):
+    for row, vec in zip(_bits(codes).tolist(), sums.T.tolist()):
         combo = BitwidthCombination(tuple(row))
         estimate = ResourceVector(*(Decimal(v).scaleb(-places) for v in vec))
         result.append(ScoredCandidate(combo=combo, estimate=estimate, score=combo.score))
@@ -317,14 +331,24 @@ def histogram(
 
 
 def parse_candidate_file(path: str | Path) -> CandidateSet:
-    """Read a candidate subset: one comma-separated combination per line."""
-    combos = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            combos.append(BitwidthCombination.parse(line))
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-    return CandidateSet(combos=tuple(combos))
+    """Read a candidate subset: one comma-separated combination per line.
+
+    A file of plain ``d,d,...,d`` lines goes straight from its bytes to row
+    numbers; any other goes line by line, which also names a bad line.
+    """
+    text = Path(path).read_text()
+    if _PLAIN_LINES.fullmatch(text):
+        chars = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 2 * NUM_KEY_COMPONENTS)
+        bits = chars[:, ::2] - ord("0")
+    else:
+        parsed = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parsed.append(BitwidthCombination.parse(line).bits)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
+        bits = np.array(parsed, dtype=np.int64).reshape(-1, NUM_KEY_COMPONENTS)
+    return CandidateSet(codes=np.searchsorted(VALID_BITWIDTHS, bits) @ _PLACE)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .components import BitwidthCombination
-from .model import BATCH_NORMS, FloatModel, forward_float, trainable_tensors
+from .model import BATCH_NORMS, Dataflow, FloatModel, forward_float, trainable_tensors
 
 
 @dataclass
@@ -234,7 +234,7 @@ class _FloatContext:
         return forward_float(model, X, mode="train")
 
     def forward_eval(self, model: FloatModel, X: np.ndarray) -> np.ndarray:
-        return forward_float(model, X, mode="eval")[0]
+        return Dataflow(model).predict(X)
 
     def backward(self, model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
         return backward(model, cache, dY)

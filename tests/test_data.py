@@ -196,3 +196,92 @@ class TestSynthetic:
         assert len(ts.segments) == 1
         assert len(ds.X) == 2000 - 12
         assert ds.X.shape[2] == 3
+
+
+# cell replacements a mutation may write: blanks, padding, tokens float()
+# accepts or rejects, quoting
+CELLS = [
+    "", "  ", " 2.5 ", "abc", "1.2.3", "0x10", "1_000", "+7", "-0", "1e3", "inf",
+    "nan", "\t4\t", '"3.25"', '"1,5"', '" 6 "', "٣",
+]
+STAMPS = ["yesterday", "2024-01-01", "", "17", "2024-01-01T00:00:00+01:00"]
+
+
+def mutated_csv(rng: np.random.Generator, timestamps: bool) -> str:
+    """A small valid CSV, then one to four random edits of its lines."""
+    rows = 30
+    base = make_synthetic(rows=rows, seed=int(rng.integers(1000))).splitlines()
+    if timestamps:
+        step = rng.choice([60, 1])
+        stamps = [f"2024-01-01T00:{m:02d}:00" if step == 60 else str(m) for m in range(rows)]
+        base = ["ts," + base[0]] + [f"{s},{line}" for s, line in zip(stamps, base[1:])]
+    lines = [line.split(",") for line in base]
+    for _ in range(rng.integers(1, 5)):
+        r = int(rng.integers(1, len(lines))) if len(lines) > 1 else 0
+        kind = rng.choice(9, p=[0.3, 0.15, 0.05, 0.05, 0.15, 0.1, 0.1, 0.02, 0.08])
+        if kind == 0 and lines[r]:
+            lines[r][int(rng.integers(len(lines[r])))] = str(rng.choice(CELLS))
+        elif kind == 1:
+            lines.insert(r, [] if rng.random() < 0.5 else [""] * int(rng.integers(1, 5)))
+        elif kind == 2:
+            lines[r] = lines[r][:-1]
+        elif kind == 3:
+            lines[r] = lines[r] + ["1"]
+        elif kind == 4 and timestamps and lines[r]:
+            lines[r][0] = str(rng.choice(STAMPS))
+        elif kind == 5 and timestamps and r + 1 < len(lines):
+            del lines[r:r + int(rng.integers(1, 4))]  # a gap in time
+        elif kind == 6:
+            lines[0] = [f'"{h}"' if rng.random() < 0.5 else f" {h} " for h in lines[0]]
+        elif kind == 7:
+            del lines[1:]
+        elif kind == 8:
+            lines[r], lines[-1] = lines[-1], lines[r]  # stamps out of order
+    ending = str(rng.choice(["\n", "\r\n"]))
+    text = ending.join(",".join(cells) for cells in lines)
+    return text + (ending if rng.random() < 0.8 else "")
+
+
+# the error messages the edits must reach
+OUTCOMES = ["expected", "non-numeric", "bad timestamp", "no usable rows", "must be finite",
+            "unknown target"]
+
+
+def outcome(ingest_fn, text: str, timestamp_column: str | None):
+    try:
+        series = ingest_fn(text, "target", timestamp_column)
+    except ValueError as e:
+        return "error", str(e)
+    segments = [(s.shape, s.dtype.str, s.tobytes()) for s in series.segments]
+    return series.columns, series.target_column, segments
+
+
+@pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+def test_ingest_matches_the_row_by_row_parser(timestamps):
+    ingest_reference = pytest.importorskip("ingest_reference")
+    rng = np.random.default_rng(11 + timestamps)
+    seen = set()
+    for case in range(300):
+        text = mutated_csv(rng, timestamps)
+        if "\n" not in text:
+            continue  # a one-line string is read as a path
+        ts = "ts" if timestamps else None
+        expected = outcome(ingest_reference.ingest, text, ts)
+        assert outcome(ingest, text, ts) == expected, f"case {case}:\n{text}"
+        if expected[0] == "error":
+            seen |= {phrase for phrase in OUTCOMES if phrase in expected[1]}
+        else:
+            seen.add("segments" if len(expected[2]) > 1 else "one segment")
+    wanted = set(OUTCOMES) - (set() if timestamps else {"bad timestamp"})
+    assert seen == wanted | {"segments", "one segment"}
+
+
+def test_csv_level_error_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="row 3: "):
+        ingest("a,target\n1,2\n3,4\r5\n", "target")
+    huge = tmp_path / "huge.csv"
+    huge.write_text("a,target\n1,2\n" + "9" * 200_000 + ",4\n")
+    with pytest.raises(ValueError, match="row 3: field larger than field limit"):
+        ingest(huge, "target")
+    with pytest.raises(ValueError, match="appears more than once"):
+        ingest("ts,ts,target\n1,1,2\n", "target", timestamp_column="ts")

@@ -6,6 +6,7 @@ import int64_reference
 import numpy as np
 import pytest
 
+import mixprec.model
 from mixprec import quantized
 from mixprec.components import BitwidthCombination
 from mixprec.data import bundled_synthetic_csv, ingest, window
@@ -39,7 +40,7 @@ N = 12
 
 def int64_batches(qm, X_q):
     """The int64 reference on the batches of windows ``forward_integer`` runs."""
-    b = quantized._BATCH
+    b = mixprec.model.EVAL_BATCH
     return np.concatenate([
         int64_reference.forward_integer_int64(qm, QuantizedTensor(X_q.data[i:i + b], X_q.params))
         for i in range(0, len(X_q.data), b)
@@ -61,7 +62,7 @@ def run_both(monkeypatch, qm, X_q):
         monkeypatch.setattr(module, "requantize", spy)
         runs.append((forward(qm, X_q), accumulators))
     (y, accs), (y_ref, accs_ref) = runs
-    assert len(accs) == len(accs_ref) == 18 * -(-len(X_q.data) // quantized._BATCH)
+    assert len(accs) == len(accs_ref) == 18 * -(-len(X_q.data) // mixprec.model.EVAL_BATCH)
     for acc, acc_ref in zip(accs, accs_ref):
         assert np.array_equal(acc, acc_ref)
     assert np.array_equal(y, y_ref)
@@ -111,10 +112,7 @@ def test_fake_quant_equals_integer_on_every_window(series_model, combo):
     qm = quantize_model(model, combo, calibration_data=dataset.train_X)
     calib = CalibrationSet(activations=qm.act_params)
     y_int = forward_integer(qm, qm.quantize_input(dataset.X))
-    y_fake = np.concatenate([
-        forward_fake_quant(model, combo, calib, dataset.X[i:i + 256])
-        for i in range(0, len(dataset.X), 256)
-    ])
+    y_fake = forward_fake_quant(model, combo, calib, dataset.X)
     assert len(y_int) == 1988
     scale = qm.act_params["output"].scale
     off = np.flatnonzero(np.abs(y_fake - y_int).max(axis=1) > 0)
@@ -129,7 +127,7 @@ def test_batch_size_does_not_change_the_output(monkeypatch, series_model):
     X_q = qm.quantize_input(dataset.test_X)
     y = forward_integer(qm, X_q)
     for batch in (1, 7, len(X_q.data)):
-        monkeypatch.setattr(quantized, "_BATCH", batch)
+        monkeypatch.setattr(mixprec.model, "EVAL_BATCH", batch)
         assert np.array_equal(forward_integer(qm, X_q), y)
 
 

@@ -6,7 +6,9 @@ import importlib
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixprec.cli import run
@@ -329,3 +331,49 @@ def test_parse_candidate_file(tmp_path):
     bad.write_text("4,4,4\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         parse_candidate_file(bad)
+
+
+def parse_line_by_line(path) -> CandidateSet:
+    """The per-line parse ``parse_candidate_file`` replaced."""
+    combos = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            combos.append(BitwidthCombination.parse(line))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+    return CandidateSet(combos=tuple(combos))
+
+
+def test_parse_candidate_file_matches_the_line_by_line_parse(tmp_path, all_combos):
+    rng = random.Random(9)
+    edits = [
+        lambda t: t.replace("4", "5", 1), lambda t: t + ",4", lambda t: t.rsplit(",", 1)[0],
+        lambda t: t.replace("6", "x", 1), lambda t: t.replace("8", "8.0", 1),
+        lambda t: t.replace(",", ", ", 3), lambda t: "  " + t, lambda t: "# " + t,
+        lambda t: "", lambda t: t.replace("6", "+6"), lambda t: t + ",",
+    ]
+    path = tmp_path / "combos.txt"
+    outcomes = set()
+    for case in range(200):
+        lines = [str(c) for c in rng.sample(all_combos.combos, rng.randint(0, 40))]
+        for _ in range(rng.randint(0, 2)):
+            if lines:
+                i = rng.randrange(len(lines))
+                lines[i] = rng.choice(edits + [lambda t: lines[0]])(lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            expected = parse_line_by_line(path)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                parse_candidate_file(path)
+            assert str(got.value) == str(e), case
+            outcomes.add(str(e).split(": ", 1)[-1].split()[0])
+            continue
+        got = parse_candidate_file(path)
+        assert got.combos == expected.combos
+        assert np.array_equal(got.codes, expected.codes)
+        outcomes.add("ok")
+    assert outcomes >= {"ok", "bad", "combination", "bitwidth", "candidate"}, outcomes
