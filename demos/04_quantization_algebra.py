@@ -10,10 +10,11 @@ from mixprec import (
     dequantize,
     derive_bias_params,
     make_requantizer,
-    plan_cascade,
     quantize,
     requantize,
 )
+from mixprec.model import JUNCTION_COMPONENT, LINEARS, NODES, WEIGHT_COMPONENT
+from mixprec.quant import bias_bitwidth
 
 rng = np.random.default_rng(0)
 
@@ -42,15 +43,17 @@ acc = rng.integers(-(2**20), 2**20, size=8)
 print("integer result:  ", requantize(acc, r, out_zero_point=3, out_bitwidth=16))
 print("float reference:  ", np.round(acc * (0.0321 / 0.25)).astype(int) + 3)
 
-# The cascade plan resolves every component's input width from its
-# predecessor's output width, including both residual branches.
+# The combination is the plan: every junction and weight takes its
+# component's bitwidth, so each op reads its predecessors' widths (a residual
+# add sees both branches) and a linear's bias is input + weight + 2 bits wide.
 combo = BitwidthCombination.parse("6,8,6,8,6,6,8,8,8,8")
-plan = plan_cascade(combo)
+width = {name: combo[comp] for name, comp in (JUNCTION_COMPONENT | WEIGHT_COMPONENT).items()}
 print(f"\ncascade for {combo}:")
-for comp in (ComponentId.MHA, ComponentId.ADD_MHA, ComponentId.FFN):
-    cp = plan[comp]
-    print(
-        f"  {comp.value:8s} inputs {cp.inputs} -> output {cp.output_bitwidth}"
-        + (f", weights {cp.weight_bitwidth}" if cp.weight_bitwidth else "")
-    )
-print("per-linear bias widths:", plan.linear_bias_bits)
+for node in NODES:
+    if node.component in (ComponentId.MHA, ComponentId.ADD_MHA, ComponentId.FFN):
+        inputs = tuple(width[name] for name in node.inputs)
+        print(f"  {node.junction:12s} {node.op:11s} inputs {inputs} -> {width[node.junction]}")
+bias = {
+    layer: bias_bitwidth(width[x], width[f"{layer}.weight"]) for layer, (x, _) in LINEARS.items()
+}
+print("per-linear bias widths:", bias)

@@ -29,7 +29,6 @@ from .knowledge import (
 )
 from .model import FloatModel, ModelConfig, forward_float, init, load_model, save_model
 from .quant import (
-    CascadePlan,
     QuantParams,
     QuantizedTensor,
     Requantizer,
@@ -37,7 +36,6 @@ from .quant import (
     dequantize,
     derive_bias_params,
     make_requantizer,
-    plan_cascade,
     quantize,
     requantize,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "BitwidthCombination",
     "CalibrationSet",
     "CandidateSet",
-    "CascadePlan",
     "ComponentId",
     "EstimateOptions",
     "FloatModel",
@@ -109,7 +106,6 @@ __all__ = [
     "load_model",
     "make_requantizer",
     "parse_report",
-    "plan_cascade",
     "quantize",
     "quantize_model",
     "requantize",

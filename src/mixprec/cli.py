@@ -74,7 +74,7 @@ def _parse_combo(text: str) -> BitwidthCombination:
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    rendered = json.dumps(doc, indent=2)
+    rendered = json.dumps(doc, indent=2, allow_nan=False)
     if path:
         Path(path).write_text(rendered + "\n")
     else:

@@ -2,8 +2,8 @@
 
 These types are shared by every stage of the workflow: the knowledge database
 is keyed by (sequence length, component, resource, bitwidth), the estimator
-sums entries over a :class:`BitwidthCombination`, and the quantizer derives a
-cascade plan from the same combination.
+sums entries over a :class:`BitwidthCombination`, and the quantizer quantizes
+every junction and weight at its component's bitwidth in the same combination.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class ComponentId(Enum):
     O_MODEL = "o_model"
     O_ENCODER_LAYER = "o_encoder_layer"
     O_MIDDLEWARE = "o_middleware"
-
-    @property
-    def is_overhead(self) -> bool:
-        return self in OVERHEAD_COMPONENTS
 
 
 KEY_COMPONENTS: tuple[ComponentId, ...] = (

@@ -18,37 +18,12 @@ from .components import (
 )
 from .knowledge import KnowledgeDatabase, ResourceVector
 
-OVERHEAD_RULE_MAX = "max"
-OVERHEAD_RULE_MODE = "mode"
-_OVERHEAD_RULES = (OVERHEAD_RULE_MAX, OVERHEAD_RULE_MODE)
-
-
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Controls whether and how overhead components enter the sum.
-
-    ``overhead_bitwidth_rule`` picks the database column for the overhead
-    components of a mixed combination: ``max`` uses the largest bitwidth in
-    the combination (conservative), ``mode`` the most frequent one (ties go
-    to the larger bitwidth).
-    """
+    """Whether the overhead components enter the sum. They are taken at the
+    database column of the combination's largest bitwidth (conservative)."""
 
     include_overhead: bool = False
-    overhead_bitwidth_rule: str = OVERHEAD_RULE_MAX
-
-    def __post_init__(self) -> None:
-        if self.overhead_bitwidth_rule not in _OVERHEAD_RULES:
-            raise ValueError(
-                f"overhead_bitwidth_rule must be one of {_OVERHEAD_RULES}, "
-                f"got {self.overhead_bitwidth_rule!r}"
-            )
-
-    def overhead_bitwidth(self, combo: BitwidthCombination) -> int:
-        if self.overhead_bitwidth_rule == OVERHEAD_RULE_MAX:
-            return max(combo.bits)
-        counts = {b: combo.bits.count(b) for b in set(combo.bits)}
-        best = max(counts.values())
-        return max(b for b, c in counts.items() if c == best)
 
 
 def estimate(
@@ -63,7 +38,7 @@ def estimate(
         for kind in RESOURCE_ORDER:
             totals[kind] += db.lookup(seq_len, comp, kind, bits)
     if opts.include_overhead:
-        ob = opts.overhead_bitwidth(combo)
+        ob = max(combo.bits)
         for comp in OVERHEAD_COMPONENTS:
             for kind in RESOURCE_ORDER:
                 totals[kind] += db.lookup(seq_len, comp, kind, ob)

@@ -229,11 +229,6 @@ class KnowledgeDatabase:
             raise ValueError(f"bitwidth must be one of {VALID_BITWIDTHS}, got {bitwidth}")
         return self.entries[(seq_len, component, resource, bitwidth)]
 
-    def component_vector(self, seq_len: int, component: ComponentId, bitwidth: int) -> ResourceVector:
-        return ResourceVector(
-            *(self.lookup(seq_len, component, kind, bitwidth) for kind in RESOURCE_ORDER)
-        )
-
 
 def aggregate(reports: list[SynthesisReport], source: str = "aggregated reports") -> KnowledgeDatabase:
     """Build a database by taking per-entry medians over matching reports.

@@ -431,6 +431,8 @@ def _encode_array(a: np.ndarray) -> dict:
 def _decode_array(entry: dict) -> np.ndarray:
     data = base64.b64decode(entry["data"])
     a = np.frombuffer(data, dtype=np.dtype(entry["dtype"]))
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite values")
     return a.reshape(entry["shape"]).copy()
 
 
@@ -473,23 +475,27 @@ def load_model(path: str | Path):
         raise ValueError(f"{path}: unsupported model file version {version!r}")
     config = ModelConfig.from_dict(doc["config"])
     kind = doc.get("kind")
-    if kind == "float":
-        params = {name: _decode_array(t) for name, t in doc["tensors"].items()}
-        return FloatModel(config=config, params=params)
-    if kind == "quantized":
-        combo = BitwidthCombination(tuple(doc["combo"]))
-        tensors, bn_folds = {}, {}
-        for name, entry in doc["tensors"].items():
-            arr = _decode_array(entry)
-            if "quant" in entry:
-                tensors[name] = QuantizedTensor(arr, QuantParams.from_dict(entry["quant"]))
-            else:
-                bn_folds[name] = arr
-        act_params = {
-            name: QuantParams.from_dict(d) for name, d in doc["junctions"].items()
-        }
+    if kind not in ("float", "quantized"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    arrays = {}
+    for name, entry in doc["tensors"].items():
         try:
-            return build_quantized(config, combo, tensors, bn_folds, act_params)
+            arrays[name] = _decode_array(entry)
         except ValueError as e:
-            raise type(e)(f"{path}: {e}") from e
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+            raise ValueError(f"{path}: tensor {name!r}: {e}") from e
+    if kind == "float":
+        return FloatModel(config=config, params=arrays)
+    combo = BitwidthCombination(tuple(doc["combo"]))
+    tensors, bn_folds = {}, {}
+    for name, entry in doc["tensors"].items():
+        if "quant" in entry:
+            tensors[name] = QuantizedTensor(arrays[name], QuantParams.from_dict(entry["quant"]))
+        else:
+            bn_folds[name] = arrays[name]
+    act_params = {
+        name: QuantParams.from_dict(d) for name, d in doc["junctions"].items()
+    }
+    try:
+        return build_quantized(config, combo, tensors, bn_folds, act_params)
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from e

@@ -1,4 +1,4 @@
-"""Quantization parameter algebra and mixed-precision cascade rules.
+"""Quantization parameter algebra.
 
 Activations and weights use asymmetric affine quantization
 (``real = scale * (q - zero_point)``); biases use symmetric quantization with
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .components import KEY_COMPONENTS, BitwidthCombination, ComponentId
-from .model import JUNCTION_COMPONENT, LINEARS, NODES, WEIGHT_COMPONENT
 
 # Guard bits added on top of input+weight width for the accumulator-derived
 # bias grid: 8+8 -> 18, 6+8 -> 16, 4+8 -> 14.
@@ -144,12 +141,17 @@ def params_for_range(mn: float, mx: float, bitwidth: int, signed: bool) -> Quant
     return QuantParams(scale, zero_point, bitwidth, signed, QuantScheme.ASYMMETRIC)
 
 
+def bias_bitwidth(x_bitwidth: int, w_bitwidth: int) -> int:
+    """Width of a linear layer's bias grid, from its input and weight widths."""
+    return x_bitwidth + w_bitwidth + BIAS_GUARD_BITS
+
+
 def derive_bias_params(x: QuantParams, w: QuantParams) -> QuantParams:
     """Symmetric bias grid on the accumulator scale of a linear layer."""
     return QuantParams(
         scale=x.scale * w.scale,
         zero_point=0,
-        bitwidth=x.bitwidth + w.bitwidth + BIAS_GUARD_BITS,
+        bitwidth=bias_bitwidth(x.bitwidth, w.bitwidth),
         signed=True,
         scheme=QuantScheme.SYMMETRIC,
     )
@@ -265,65 +267,3 @@ def requantize(
     q += out_zero_point
     q = np.clip(q, *int_range(out_bitwidth, signed))
     return int(q) if scalar else q
-
-
-# --- bitwidth cascade -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComponentPlan:
-    """Bitwidths seen by one component: inherited inputs, own weights/outputs."""
-
-    inputs: tuple[int, ...]
-    output_bitwidth: int
-    weight_bitwidth: int | None = None
-
-
-@dataclass(frozen=True)
-class CascadePlan:
-    """Resolved per-component bitwidths for a combination.
-
-    ``linear_bias_bits`` carries the per-linear-sublayer bias widths (MHA and
-    FFN contain more than one linear; later sublayers run uniformly at the
-    module bitwidth, so their bias width is 2*b_module + guard).
-    """
-
-    combo: BitwidthCombination
-    components: dict[ComponentId, ComponentPlan]
-    linear_bias_bits: dict[str, int]
-
-    def __getitem__(self, component: ComponentId) -> ComponentPlan:
-        return self.components[component]
-
-
-def plan_cascade(combo: BitwidthCombination) -> CascadePlan:
-    """Propagate output bitwidths along the encoder graph ``model.NODES``.
-
-    Every junction and weight is quantized at its component's bitwidth, so a
-    component's inputs are the widths its first op reads from its
-    predecessors: the residual adds receive the skip path's width alongside
-    the main path's, and the positional table, the second addend of
-    ``add_pe``, comes at that component's own bitwidth. The model input
-    junction belongs to the first component.
-    """
-    width = {
-        name: combo[comp] for name, comp in (JUNCTION_COMPONENT | WEIGHT_COMPONENT).items()
-    }
-    inputs: dict[ComponentId, tuple[int, ...]] = {}
-    for node in NODES:
-        if node.inputs:
-            inputs.setdefault(node.component, tuple(width[name] for name in node.inputs))
-    weighted = set(WEIGHT_COMPONENT.values())
-    components = {
-        comp: ComponentPlan(
-            inputs=inputs[comp],
-            output_bitwidth=combo[comp],
-            weight_bitwidth=combo[comp] if comp in weighted else None,
-        )
-        for comp in KEY_COMPONENTS
-    }
-    linear_bias_bits = {
-        name: width[x] + width[f"{name}.weight"] + BIAS_GUARD_BITS
-        for name, (x, _) in LINEARS.items()
-    }
-    return CascadePlan(combo=combo, components=components, linear_bias_bits=linear_bias_bits)

@@ -1,12 +1,12 @@
 """Quantized execution: calibration, fake-quant simulation, integer inference.
 
 All three interpret ``model.Dataflow``. Calibration records each junction's
-range; the fake-quant path inserts quantize-dequantize at every tensor the
-cascade plan quantizes; the integer engine performs the same computation
-with integer arithmetic only, rescaling between grids through fixed-point
-requantizers. The fake-quant forward in eval mode takes the integer softmax
-on the integer scores, and both paths share grids and rounding, so their
-outputs agree bit for bit.
+range; the fake-quant path inserts quantize-dequantize at every junction and
+weight, each at its component's bitwidth in the combination; the integer
+engine performs the same computation with integer arithmetic only, rescaling
+between grids through fixed-point requantizers. The fake-quant forward in
+eval mode takes the integer softmax on the integer scores, and both paths
+share grids and rounding, so their outputs agree bit for bit.
 
 Residual adds requantize each addend onto the output grid before the integer
 addition; the FFN's hidden grid is unsigned with zero point 0, so its
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import training
-from .components import BitwidthCombination, ComponentId
+from .components import BitwidthCombination
 from .model import (
     BATCH_NORMS,
     JUNCTION_COMPONENT,
@@ -47,15 +47,14 @@ from .model import (
     tensor_shapes,
 )
 from .quant import (
-    CascadePlan,
     QuantParams,
     QuantizedTensor,
     Requantizer,
+    bias_bitwidth,
     derive_bias_params,
     fake_quantize,
     make_requantizer,
     params_for_range,
-    plan_cascade,
     quantize,
     requantize,
     round_half_away,
@@ -79,8 +78,14 @@ class CalibrationSet:
         return self.activations[junction]
 
 
-def junction_bitwidth(plan: CascadePlan, junction: str) -> int:
-    return plan[JUNCTION_COMPONENT[junction]].output_bitwidth
+# The component of every junction and weight tensor: each is quantized at
+# ``combo[_COMPONENT[name]]``, its component's bitwidth.
+_COMPONENT = JUNCTION_COMPONENT | WEIGHT_COMPONENT
+
+
+def _junction_grid(combo: BitwidthCombination, junction: str) -> tuple[int, bool]:
+    """(bitwidth, signed) of a junction's grid."""
+    return combo[_COMPONENT[junction]], junction not in UNSIGNED_JUNCTIONS
 
 
 class _RangeRecorder(Dataflow):
@@ -108,16 +113,14 @@ def collect_ranges(model: FloatModel, X: np.ndarray) -> dict[str, tuple[float, f
 
 
 def calibration_from_ranges(
-    ranges: dict[str, tuple[float, float]], plan: CascadePlan
+    ranges: dict[str, tuple[float, float]], combo: BitwidthCombination
 ) -> CalibrationSet:
     activations = {}
     for junction in JUNCTION_COMPONENT:
         if junction not in ranges:
             raise CalibrationError(f"no calibration for junction {junction!r}")
         mn, mx = ranges[junction]
-        activations[junction] = params_for_range(
-            mn, mx, junction_bitwidth(plan, junction), signed=junction not in UNSIGNED_JUNCTIONS
-        )
+        activations[junction] = params_for_range(mn, mx, *_junction_grid(combo, junction))
     return CalibrationSet(activations=activations)
 
 
@@ -128,35 +131,32 @@ def calibrate(
     data = np.asarray(calibration_data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("calibration data must be non-empty")
-    return calibration_from_ranges(collect_ranges(model, data), plan_cascade(combo))
+    return calibration_from_ranges(collect_ranges(model, data), combo)
 
 
-def _weight_params(model: FloatModel, plan: CascadePlan) -> dict[str, QuantParams]:
+def _weight_params(model: FloatModel, combo: BitwidthCombination) -> dict[str, QuantParams]:
     out = {}
     for name, comp in WEIGHT_COMPONENT.items():
         w = model.params[name]
-        bits = plan[comp].weight_bitwidth
-        out[name] = params_for_range(float(w.min()), float(w.max()), bits, signed=True)
+        out[name] = params_for_range(float(w.min()), float(w.max()), combo[comp], signed=True)
     return out
 
 
-def _assert_accumulator_bound(config: ModelConfig, plan: CascadePlan) -> None:
+def _assert_accumulator_bound(config: ModelConfig, combo: BitwidthCombination) -> None:
     """Worst-case |acc| must stay inside 32 bits for every integer matmul."""
     d, n = config.d_model, config.seq_len
     shapes = tensor_shapes(config)
+    width = {name: combo[comp] for name, comp in _COMPONENT.items()}
     for name, (junction, _) in LINEARS.items():
         fan_in = shapes[f"{name}.weight"][0]
-        bx = junction_bitwidth(plan, junction)
-        comp = WEIGHT_COMPONENT[f"{name}.weight"]
-        bw = plan[comp].weight_bitwidth
-        bias_bits = plan.linear_bias_bits[name]
-        worst = fan_in * (1 << bx) * (1 << bw) + (1 << (bias_bits - 1))
+        bx, bw = width[junction], width[f"{name}.weight"]
+        worst = fan_in * (1 << bx) * (1 << bw) + (1 << (bias_bitwidth(bx, bw) - 1))
         if worst >= (1 << 31):
             raise ValueError(
                 f"{name}: worst-case accumulator {worst} exceeds 32 bits for this config"
             )
-    score_worst = d * (1 << (2 * plan[ComponentId.MHA].output_bitwidth))
-    ctx_worst = n * (1 << (2 * plan[ComponentId.MHA].output_bitwidth))
+    score_worst = d * (1 << (width["mha.q"] + width["mha.k"]))
+    ctx_worst = n * (1 << (width["mha.probs"] + width["mha.v"]))
     if max(score_worst, ctx_worst, n * 256) >= (1 << 31):
         raise ValueError("attention accumulator exceeds 32 bits for this config")
 
@@ -234,11 +234,10 @@ class _Runtime:
 
 @dataclass
 class QuantizedModel:
-    """Integer tensors plus grids, cascade plan, and derived requantizers."""
+    """Integer tensors plus grids, combination, and derived requantizers."""
 
     config: ModelConfig
     combo: BitwidthCombination
-    plan: CascadePlan
     tensors: dict[str, QuantizedTensor]  # weights and biases
     bn_folds: dict[str, np.ndarray]  # bn_{mha,ffn}.fold_{a,b}, float64
     act_params: dict[str, QuantParams]
@@ -316,7 +315,7 @@ def _check_grid(what: str, params: QuantParams, bitwidth: int, signed: bool) -> 
     if (params.bitwidth, params.signed) != (bitwidth, signed):
         raise ValueError(
             f"{what}: {_describe(params.bitwidth, params.signed)} grid, "
-            f"the cascade plan gives {_describe(bitwidth, signed)}"
+            f"the combination gives {_describe(bitwidth, signed)}"
         )
 
 
@@ -329,22 +328,18 @@ def _describe_grid(p: QuantParams) -> str:
 
 def _check_stored(
     config: ModelConfig,
-    plan: CascadePlan,
+    combo: BitwidthCombination,
     tensors: dict[str, QuantizedTensor],
     bn_folds: dict[str, np.ndarray],
     act_params: dict[str, QuantParams],
 ) -> None:
-    """Stored shapes and grids must be the ones the config and the plan give:
-    ``_assert_accumulator_bound`` proves |acc| < 2**31 for those grids only."""
+    """Stored shapes and grids must be the ones the config and the combination
+    give: ``_assert_accumulator_bound`` proves |acc| < 2**31 for those grids only."""
     for junction in JUNCTION_COMPONENT:
         if junction not in act_params:
             raise CalibrationError(f"no calibration for junction {junction!r}")
-        _check_grid(
-            f"junction {junction!r}",
-            act_params[junction],
-            junction_bitwidth(plan, junction),
-            junction not in UNSIGNED_JUNCTIONS,
-        )
+        grid = _junction_grid(combo, junction)
+        _check_grid(f"junction {junction!r}", act_params[junction], *grid)
     biases = [f"{name}.bias" for name in LINEARS]
     folds = [f"{prefix}.fold_{ab}" for prefix in BATCH_NORMS for ab in "ab"]
     for store, names in ((tensors, [*WEIGHT_COMPONENT, *biases]), (bn_folds, folds)):
@@ -362,7 +357,7 @@ def _check_stored(
                 f"tensor {name!r}: shape {list(data.shape)}, expected {list(shapes[name])}"
             )
     for name, comp in WEIGHT_COMPONENT.items():
-        _check_grid(f"tensor {name!r}", tensors[name].params, plan[comp].weight_bitwidth, True)
+        _check_grid(f"tensor {name!r}", tensors[name].params, combo[comp], True)
     # a linear's requantizer takes s_x * s_w from its bias grid, and the
     # integer matmul adds the bias with no zero point
     for name, (x_junction, _) in LINEARS.items():
@@ -383,13 +378,11 @@ def build_quantized(
     act_params: dict[str, QuantParams],
 ) -> QuantizedModel:
     """Assemble a quantized model from its stored pieces (used by file load)."""
-    plan = plan_cascade(combo)
-    _assert_accumulator_bound(config, plan)
-    _check_stored(config, plan, tensors, bn_folds, act_params)
+    _assert_accumulator_bound(config, combo)
+    _check_stored(config, combo, tensors, bn_folds, act_params)
     qm = QuantizedModel(
         config=config,
         combo=combo,
-        plan=plan,
         tensors=tensors,
         bn_folds=bn_folds,
         act_params=act_params,
@@ -410,15 +403,14 @@ def quantize_model(
     a calibration pass over ``calibration_data``; exactly one must be given.
     Batch norm is folded from running statistics before quantization.
     """
-    plan = plan_cascade(combo)
     if (calibration_data is None) == (ranges is None):
         raise ValueError("provide exactly one of calibration_data or ranges")
     if ranges is not None:
-        calib = calibration_from_ranges(ranges, plan)
+        calib = calibration_from_ranges(ranges, combo)
     else:
         calib = calibrate(model, combo, calibration_data)
 
-    weight_params = _weight_params(model, plan)
+    weight_params = _weight_params(model, combo)
     tensors: dict[str, QuantizedTensor] = {}
     for name, wp in weight_params.items():
         tensors[name] = quantize(model.params[name], wp)
@@ -534,7 +526,7 @@ class _IntegerEngine(Dataflow):
 
 
 class _FakeEngine(Dataflow):
-    """The float dataflow with grid snapping at every planned junction.
+    """The float dataflow with grid snapping at every junction and weight.
 
     ``provider(junction, value)`` returns the junction's QuantParams (and may
     observe ``value`` to update running ranges during QAT). In surrogate mode
@@ -546,15 +538,14 @@ class _FakeEngine(Dataflow):
     def __init__(
         self,
         model: FloatModel,
-        plan: CascadePlan,
+        combo: BitwidthCombination,
         provider,
         surrogate: bool = False,
     ):
         super().__init__(model)
-        self.plan = plan
         self.provider = provider
         self.surrogate = surrogate
-        self.weight_params = _weight_params(model, plan)
+        self.weight_params = _weight_params(model, combo)
 
     def _snap(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
         # fake_quantize gives the bits and mask of round_half_away -> clip, so
@@ -631,7 +622,7 @@ def forward_fake_quant(
     calib: CalibrationSet | None,
     X: np.ndarray,
 ) -> np.ndarray:
-    """Float arithmetic with quantize-dequantize at every planned junction.
+    """Float arithmetic with quantize-dequantize at every junction and weight.
 
     The softmax is the integer path's, on the integer scores, so the output
     equals ``forward_integer``'s bit for bit. With ``combo`` None the
@@ -641,8 +632,7 @@ def forward_fake_quant(
         return Dataflow(model).predict(X)
     if calib is None:
         raise CalibrationError("fake-quant forward requires calibration parameters")
-    plan = plan_cascade(combo)
-    return _FakeEngine(model, plan, lambda junction, _: calib.require(junction)).predict(X)
+    return _FakeEngine(model, combo, lambda junction, _: calib.require(junction)).predict(X)
 
 
 # --- quantization-aware training ----------------------------------------------
@@ -671,12 +661,7 @@ class _EmaProvider:
         if junction not in ctx.ranges:
             raise CalibrationError(f"no tracked range for junction {junction!r} yet")
         mn, mx = ctx.ranges[junction]
-        return params_for_range(
-            mn,
-            mx,
-            junction_bitwidth(ctx.plan, junction),
-            signed=junction not in UNSIGNED_JUNCTIONS,
-        )
+        return params_for_range(mn, mx, *_junction_grid(ctx.combo, junction))
 
 
 class QatContext:
@@ -692,8 +677,7 @@ class QatContext:
     ):
         if not 0 < ema_decay < 1:
             raise ValueError("ema_decay must be in (0, 1)")
-        self.plan = plan_cascade(combo)
-        _assert_accumulator_bound(config, self.plan)
+        _assert_accumulator_bound(config, combo)
         self.combo = combo
         self.ema_decay = ema_decay
         self.surrogate = surrogate
@@ -701,13 +685,13 @@ class QatContext:
 
     def forward_train(self, model: FloatModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
         engine = _FakeEngine(
-            model, self.plan, _EmaProvider(self, observe=True), surrogate=self.surrogate
+            model, self.combo, _EmaProvider(self, observe=True), surrogate=self.surrogate
         )
         return engine.run(X, mode="train")
 
     def forward_eval(self, model: FloatModel, X: np.ndarray) -> np.ndarray:
         engine = _FakeEngine(
-            model, self.plan, _EmaProvider(self, observe=False), surrogate=self.surrogate
+            model, self.combo, _EmaProvider(self, observe=False), surrogate=self.surrogate
         )
         return engine.predict(X)
 

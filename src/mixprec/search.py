@@ -32,12 +32,13 @@ from .components import (
     BitwidthCombination,
     ResourceKind,
 )
-from .estimator import OVERHEAD_RULE_MAX, OVERHEAD_RULE_MODE, EstimateOptions
+from .estimator import EstimateOptions
 from .knowledge import KnowledgeDatabase, ResourceVector
 
 _BASE = len(VALID_BITWIDTHS)
 _LUTS = RESOURCE_ORDER.index(ResourceKind.LUTS)
 TOTAL_COMBINATIONS = _BASE ** NUM_KEY_COMPONENTS  # 3^10 = 59,049
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _PLACE = _BASE ** np.arange(NUM_KEY_COMPONENTS - 1, -1, -1)
 # a candidate file of lines "d,d,...,d\n" only, each d a single-digit bitwidth
 _DIGIT = "[" + "".join(map(str, VALID_BITWIDTHS)) + "]"
@@ -55,8 +56,11 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for kind in RESOURCE_ORDER:
-            if self[kind] < 0:
-                raise ValueError(f"threshold for {kind.value} must be >= 0")
+            value = self[kind]
+            if not (value.is_finite() and value >= 0):
+                raise ValueError(
+                    f"threshold for {kind.value} must be finite and >= 0, got {value}"
+                )
 
     @classmethod
     def of(cls, t_luts, t_dram, t_bram, t_dsps) -> "Thresholds":
@@ -178,16 +182,12 @@ def _kronecker(rows, combine=np.add) -> np.ndarray:
 
 
 @functools.cache
-def _enumeration() -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-row bitwidth sum, and per-row overhead bitwidth index for each rule."""
+def _enumeration() -> tuple[np.ndarray, np.ndarray]:
+    """Per-row bitwidth sum, and per-row index of the largest bitwidth, the
+    overhead components' database column."""
     digits = [np.arange(_BASE, dtype=np.int8)] * NUM_KEY_COMPONENTS
-    counts = _kronecker([np.eye(_BASE, dtype=np.int8)] * NUM_KEY_COMPONENTS)  # [digit, row]
     score = _kronecker([np.array(VALID_BITWIDTHS, dtype=np.int64)] * NUM_KEY_COMPONENTS)
-    return score, {
-        OVERHEAD_RULE_MAX: _kronecker(digits, np.maximum),
-        # the most frequent bitwidth, ties to the larger one
-        OVERHEAD_RULE_MODE: _BASE - 1 - counts[::-1].argmax(axis=0),
-    }
+    return score, _kronecker(digits, np.maximum)
 
 
 def _utilization(
@@ -197,19 +197,33 @@ def _utilization(
     RESOURCE_ORDER[j], limit[j] its threshold, as integers on a common
     denominator 10^places."""
     comps = KEY_COMPONENTS + OVERHEAD_COMPONENTS
-    values = [
-        db.lookup(seq_len, comp, kind, b)
+    entries = {
+        f"entries.{seq_len}.{comp.value}.{kind.value}.{b}": db.lookup(seq_len, comp, kind, b)
         for comp in comps for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS
-    ]
-    values += [thresholds[kind] for kind in RESOURCE_ORDER]
-    places = max(_decimal_places(v) for v in values)
-    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=np.int64)
+    }
+    values = entries | {f"threshold t_{kind.value}": thresholds[kind] for kind in RESOURCE_ORDER}
+    name, value = max(values.items(), key=lambda item: _decimal_places(item[1]))
+    places = _decimal_places(value)
+    scaled = np.array([int(v.scaleb(places)) for v in values.values()], dtype=object)
     tables = scaled[: -len(RESOURCE_ORDER)].reshape(len(comps), len(RESOURCE_ORDER), _BASE)
+    # entries are >= 0, so no partial sum of a row, overhead included,
+    # exceeds the sum of the per-component maxima
+    worst = tables.max(axis=2).sum(axis=0)
+    if (worst > _INT64_MAX).any():
+        if not places:
+            name, value = max(entries.items(), key=lambda item: item[1])
+            raise ValueError(f"{name} {value} is too large: utilization sums overflow 64 bits")
+        raise ValueError(
+            f"{name} {value}: its {places} decimal places put the utilization sums on the "
+            f"denominator 10^{places}, where they overflow 64 bits"
+        )
+    # a threshold above every possible sum passes every row, as that bound does
+    limit = np.minimum(scaled[-len(RESOURCE_ORDER):], worst).astype(np.int64)
+    tables = tables.astype(np.int64)
     sums = _kronecker(tables[:NUM_KEY_COMPONENTS])
     if opts.include_overhead:
-        overhead = tables[NUM_KEY_COMPONENTS:].sum(axis=0)
-        sums += overhead[:, _enumeration()[1][opts.overhead_bitwidth_rule]]
-    return places, sums, scaled[-len(RESOURCE_ORDER):, None]
+        sums += tables[NUM_KEY_COMPONENTS:].sum(axis=0)[:, _enumeration()[1]]
+    return places, sums, limit[:, None]
 
 
 def _survivors(
@@ -310,10 +324,12 @@ def _binned(values: np.ndarray, places: int, bins: int) -> list[tuple[Decimal, D
         raise ValueError("bins must be >= 1")
     if not len(values):
         return []
-    low, high = values.min(), values.max()
-    lo, hi = (Decimal(int(v)).scaleb(-places) for v in (low, high))
+    low, high = int(values.min()), int(values.max())
+    lo, hi = (Decimal(v).scaleb(-places) for v in (low, high))
     if low == high:
         return [(lo, hi, len(values))]
+    if (high - low) * bins > _INT64_MAX:
+        values = values.astype(object)  # exact Python integers
     index = np.minimum((values - low) * bins // (high - low), bins - 1)
     counts = np.bincount(index.astype(np.intp), minlength=bins)
     width = (hi - lo) / bins

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixprec.cli import USAGE_ERROR, run
+from mixprec.cli import USAGE_ERROR, _emit, run
 from mixprec.components import ALL_COMPONENTS
 from mixprec.data import make_synthetic
 from mixprec.knowledge import bundled_database, load, save
+from mixprec.model import load_model, save_model
 from mixprec.search import Thresholds, search
 
 
@@ -199,6 +200,43 @@ class TestEstimateAndSearch:
         assert doc["total"] == 2 and doc["passed"] == 1
 
 
+    @pytest.mark.parametrize("t_luts, others, named", [
+        ("80.0000000000000000001", "100", "threshold t_luts 80.0000000000000000001: its 19"),
+        ("80.00000000000000001", "90", "threshold t_luts 80.00000000000000001: its 17"),
+    ])
+    def test_search_sums_beyond_int64_are_data_errors(self, kb_path, capsys, t_luts, others,
+                                                      named):
+        # the 17-place case fits the table but its sums would wrap to negatives
+        assert run(["search", "--kb", kb_path, "--n", "12", "--t-luts", t_luts,
+                    "--t-dram", others, "--t-bram", others, "--t-dsps", others]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "overflow 64 bits" in err
+
+    def test_search_database_entry_beyond_int64_is_data_error(self, kb_path, tmp_path, capsys):
+        doc = json.loads(Path(kb_path).read_text())
+        doc["entries"]["12"]["gap"]["dram"]["6"] = "1E-30"
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        assert run(["search", "--kb", str(kb), "--n", "12", "--t-luts", "80",
+                    "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"]) == 2
+        assert "entries.12.gap.dram.6 1E-30: its 30 decimal places" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_luts", ["inf", "nan", "-1"])
+    def test_search_threshold_not_finite_or_negative_is_data_error(self, kb_path, capsys,
+                                                                   t_luts):
+        assert run(["search", "--kb", kb_path, "--n", "12", "--t-luts", t_luts,
+                    "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"]) == 2
+        assert "threshold for luts must be finite and >= 0" in capsys.readouterr().err
+
+    def test_search_threshold_above_every_sum_passes_all(self, kb_path, capsys):
+        argv = ["search", "--kb", kb_path, "--n", "12", "--t-dram", "100", "--t-bram", "100",
+                "--t-dsps", "100", "--json"]
+        huge = run_json(capsys, [*argv, "--t-luts", "1E+400"])
+        plain = run_json(capsys, [*argv, "--t-luts", "1000"])
+        huge.pop("runtime_seconds"), plain.pop("runtime_seconds")
+        assert huge == plain
+
+
 class TestModelCommands:
     def train_args(self, data_path, out, extra=()):
         return [
@@ -270,10 +308,10 @@ class TestModelCommands:
     @pytest.mark.parametrize("mutate, named", [
         # a wider weight grid voids the plan-time accumulator bound
         (lambda doc: doc["tensors"]["ffn.w2.weight"]["quant"].update(bitwidth=40),
-         "'ffn.w2.weight': 40-bit signed grid, the cascade plan gives 8-bit signed"),
+         "'ffn.w2.weight': 40-bit signed grid, the combination gives 8-bit signed"),
         # the unsigned hidden grid is what makes the requantizer clamp the ReLU
         (lambda doc: doc["junctions"]["ffn.hidden"].update(signed=True),
-         "'ffn.hidden': 8-bit signed grid, the cascade plan gives 8-bit unsigned"),
+         "'ffn.hidden': 8-bit signed grid, the combination gives 8-bit unsigned"),
         (lambda doc: doc["tensors"]["mha.wq.weight"].update(shape=[4, 16]),
          "'mha.wq.weight': shape [4, 16], expected [8, 8]"),
         # the output requantizer takes its accumulator scale from the bias grid
@@ -299,6 +337,24 @@ class TestModelCommands:
         assert run(["eval", "--model", str(qmodel), "--data", data_path]) == 2
         err = capsys.readouterr().err
         assert str(qmodel) in err and named in err
+
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_float_tensor_is_data_error(self, data_path, tmp_path, capsys, value):
+        model = tmp_path / "model.json"
+        assert run(self.train_args(data_path, model)) == 0
+        loaded = load_model(model)
+        loaded.params["ffn.w1.weight"][0, 0] = value
+        save_model(loaded, model)
+        capsys.readouterr()
+        assert run(["eval", "--model", str(model), "--data", data_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{model}: tensor 'ffn.w1.weight': non-finite values" in captured.err
+
+    def test_json_on_stdout_never_holds_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _emit({"rmse": float("nan")}, None)
 
 
 class TestPipeline:

@@ -9,6 +9,7 @@ import pytest
 from mixprec.components import (
     ALL_COMPONENTS,
     KEY_COMPONENTS,
+    OVERHEAD_COMPONENTS,
     RESOURCE_ORDER,
     VALID_BITWIDTHS,
     BitwidthCombination,
@@ -106,7 +107,7 @@ class TestAdditivity:
         combo = BitwidthCombination.parse("6,8,6,8,6,6,8,8,8,8")
         with_oh = estimate(db, 12, combo, EstimateOptions(include_overhead=True))
         without = estimate(db, 12, combo)
-        ob = EstimateOptions(include_overhead=True).overhead_bitwidth(combo)
+        ob = max(combo.bits)
         for kind in RESOURCE_ORDER:
             overhead_sum = sum(
                 db.lookup(12, comp, kind, ob)
@@ -120,15 +121,11 @@ class TestAdditivity:
 
 
 class TestOverheadRule:
-    def test_max_rule(self):
-        opts = EstimateOptions(include_overhead=True, overhead_bitwidth_rule="max")
-        assert opts.overhead_bitwidth(BitwidthCombination.parse("4,4,4,4,4,4,4,4,4,6")) == 6
-
-    def test_mode_rule_ties_to_larger(self):
-        opts = EstimateOptions(include_overhead=True, overhead_bitwidth_rule="mode")
-        assert opts.overhead_bitwidth(BitwidthCombination.parse("4,4,4,4,4,6,6,6,6,6")) == 6
-        assert opts.overhead_bitwidth(BitwidthCombination.parse("4,4,4,4,4,4,6,6,8,8")) == 4
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            EstimateOptions(overhead_bitwidth_rule="median")
+    def test_max_rule(self, db):
+        # nine 4-bit components and one 6-bit: the overhead takes the 6-bit column
+        combo = BitwidthCombination.parse("4,4,4,4,4,4,4,4,4,6")
+        with_oh = estimate(db, 12, combo, EstimateOptions(include_overhead=True))
+        without = estimate(db, 12, combo)
+        for kind in RESOURCE_ORDER:
+            overhead = sum(db.lookup(12, comp, kind, 6) for comp in OVERHEAD_COMPONENTS)
+            assert with_oh[kind] - without[kind] == overhead

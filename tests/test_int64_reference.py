@@ -17,7 +17,6 @@ from mixprec.quant import (
     QuantParams,
     QuantScheme,
     derive_bias_params,
-    plan_cascade,
 )
 from mixprec.quantized import (
     CalibrationSet,
@@ -131,11 +130,11 @@ def test_batch_size_does_not_change_the_output(monkeypatch, series_model):
         assert np.array_equal(forward_integer(qm, X_q), y)
 
 
-def largest_accepted_input_dim(seq_len: int, d_model: int, plan) -> int:
+def largest_accepted_input_dim(seq_len: int, d_model: int, combo: BitwidthCombination) -> int:
     m = 1
     while True:
         try:
-            _assert_accumulator_bound(ModelConfig(seq_len, m + 1, d_model), plan)
+            _assert_accumulator_bound(ModelConfig(seq_len, m + 1, d_model), combo)
         except ValueError:
             return m
         m = m * 2 if m < 1 << 14 else m + 1
@@ -151,21 +150,19 @@ def extreme_model(config: ModelConfig, combo: BitwidthCombination):
     2**-24 probability grid that lifts the uniform softmax to q_max)
     saturates at q_max, which feeds the next matmul the same extremes.
     """
-    plan = plan_cascade(combo)
-
     def grid(bits: int, signed: bool, scale: float = 1.0) -> QuantParams:
         q_min = -(1 << (bits - 1)) if signed else 0
         return QuantParams(scale, q_min, bits, signed, QuantScheme.ASYMMETRIC)
 
     act = {
-        j: grid(plan[c].output_bitwidth, j not in UNSIGNED_JUNCTIONS)
+        j: grid(combo[c], j not in UNSIGNED_JUNCTIONS)
         for j, c in JUNCTION_COMPONENT.items()
     }
     act["mha.probs"] = grid(act["mha.probs"].bitwidth, False, 2.0**-_PROB_ACC_BITS)
     shapes = tensor_shapes(config)
     tensors = {}
     for name, comp in WEIGHT_COMPONENT.items():
-        p = grid(plan[comp].weight_bitwidth, True)
+        p = grid(combo[comp], True)
         tensors[name] = QuantizedTensor(np.full(shapes[name], p.q_max), p)
     for name, (junction, _) in LINEARS.items():
         p = derive_bias_params(act[junction], tensors[f"{name}.weight"].params)
@@ -181,17 +178,16 @@ def extreme_model(config: ModelConfig, combo: BitwidthCombination):
 
 def test_extreme_operands_at_the_largest_accepted_config(monkeypatch):
     combo = BitwidthCombination.uniform(8)
-    plan = plan_cascade(combo)
     seq_len, d_model = 3, 4
-    m = largest_accepted_input_dim(seq_len, d_model, plan)
+    m = largest_accepted_input_dim(seq_len, d_model, combo)
     with pytest.raises(ValueError, match="accumulator"):
-        _assert_accumulator_bound(ModelConfig(seq_len, m + 1, d_model), plan)
+        _assert_accumulator_bound(ModelConfig(seq_len, m + 1, d_model), combo)
     qm = extreme_model(ModelConfig(seq_len, m, d_model), combo)
     in_p = qm.act_params["input"]
     X_q = QuantizedTensor(np.full((2, seq_len, m), in_p.q_max), in_p)
 
     y, accumulators = run_both(monkeypatch, qm, X_q)
-    # the input projection's accumulator is the largest the plan admits:
+    # the input projection's accumulator is the largest the bound admits:
     # (2**8 - 1)**2 per product plus the bias, within 1% of 2**31
     worst = m * 255 * 255 + qm.tensors["l_input.bias"].params.q_max
     assert 0.99 * 2**31 < worst < 2**31

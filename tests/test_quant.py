@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixprec.components import VALID_BITWIDTHS, BitwidthCombination, ComponentId
+from mixprec.components import VALID_BITWIDTHS, BitwidthCombination
+from mixprec.model import LAYER_NODE, LINEARS, ModelConfig, init
 from mixprec.quant import (
     QuantParams,
     QuantScheme,
@@ -19,12 +20,12 @@ from mixprec.quant import (
     fake_quantize,
     int_range,
     make_requantizer,
-    plan_cascade,
     quantize,
     requantize,
     round_half_away,
     rounding_shift,
 )
+from mixprec.quantized import quantize_model
 
 
 class TestRounding:
@@ -280,42 +281,55 @@ class TestRequantizer:
             assert requantize(int(a), r, out_zero_point=3, out_bitwidth=8) == v
 
 
+def quantized_at(combo: BitwidthCombination):
+    """A small model quantized at ``combo``, calibrated on random windows."""
+    config = ModelConfig(seq_len=4, input_dim=2, d_model=4)
+    data = np.random.default_rng(0).normal(size=(16, 4, 2))
+    return quantize_model(init(config, 0), combo, calibration_data=data)
+
+
+def bias_width(qm, linear: str) -> int:
+    return qm.tensors[f"{linear}.bias"].params.bitwidth
+
+
 class TestCascadePlan:
+    """The combination is the plan: every junction and weight grid of a
+    quantized model has its component's bitwidth, and each bias grid the
+    width of its linear's input plus weight plus guard bits."""
+
     def test_uniform_8bit(self):
-        plan = plan_cascade(BitwidthCombination.uniform(8))
-        for comp, cp in plan.components.items():
-            assert cp.output_bitwidth == 8
-            assert all(b == 8 for b in cp.inputs)
-        assert set(plan.linear_bias_bits.values()) == {18}
+        qm = quantized_at(BitwidthCombination.uniform(8))
+        assert {p.bitwidth for p in qm.act_params.values()} == {8}
+        assert {bias_width(qm, name) for name in LINEARS} == {18}
 
     def test_uniform_plans_are_fixed_points(self):
         for b in VALID_BITWIDTHS:
-            plan = plan_cascade(BitwidthCombination.uniform(b))
-            widths = {cp.output_bitwidth for cp in plan.components.values()}
-            widths |= {w for cp in plan.components.values() for w in cp.inputs}
-            assert widths == {b}
+            qm = quantized_at(BitwidthCombination.uniform(b))
+            biases = {f"{name}.bias" for name in LINEARS}
+            grids = [*qm.act_params.values()]
+            grids += [t.params for name, t in qm.tensors.items() if name not in biases]
+            assert {p.bitwidth for p in grids} == {b}
+            assert {bias_width(qm, name) for name in LINEARS} == {2 * b + 2}
 
     def test_mha_inherits_add_pe_output(self):
-        combo = BitwidthCombination.parse("8,8,4,8,8,8,8,8,8,8")
-        plan = plan_cascade(combo)
-        mha = plan[ComponentId.MHA]
-        assert mha.inputs == (8,)
-        assert mha.weight_bitwidth == 4
-        assert mha.output_bitwidth == 4
-        assert plan.linear_bias_bits["mha.wq"] == 8 + 4 + 2
-        assert plan.linear_bias_bits["mha.wo"] == 4 + 4 + 2
+        qm = quantized_at(BitwidthCombination.parse("8,8,4,8,8,8,8,8,8,8"))
+        assert qm.grid("add_pe.out").bitwidth == 8
+        assert qm.grid("mha.wq.weight").bitwidth == 4
+        assert qm.grid("mha.out").bitwidth == 4
+        assert bias_width(qm, "mha.wq") == 8 + 4 + 2
+        assert bias_width(qm, "mha.wo") == 4 + 4 + 2
 
     def test_residual_add_sees_both_paths(self):
-        combo = BitwidthCombination.parse("6,8,6,8,6,6,8,8,8,8")
-        plan = plan_cascade(combo)
-        add_mha = plan[ComponentId.ADD_MHA]
-        assert add_mha.inputs == (8, 6)  # (skip from add_pe, main from mha)
-        assert add_mha.output_bitwidth == 8
-        add_ffn = plan[ComponentId.ADD_FFN]
-        assert add_ffn.inputs == (6, 6)  # (skip from bn_mha, main from ffn)
+        qm = quantized_at(BitwidthCombination.parse("6,8,6,8,6,6,8,8,8,8"))
+
+        def addend_widths(add: str) -> tuple[int, ...]:
+            return tuple(qm.grid(name).bitwidth for name in LAYER_NODE[add].inputs)
+
+        assert addend_widths("add_mha") == (8, 6)  # (skip from add_pe, main from mha)
+        assert qm.grid("add_mha.out").bitwidth == 8
+        assert addend_widths("add_ffn") == (6, 6)  # (skip from bn_mha, main from ffn)
 
     def test_ffn_second_linear_uniform_at_module_bitwidth(self):
-        combo = BitwidthCombination.parse("8,8,6,8,6,4,8,8,8,8")
-        plan = plan_cascade(combo)
-        assert plan.linear_bias_bits["ffn.w1"] == 6 + 4 + 2
-        assert plan.linear_bias_bits["ffn.w2"] == 4 + 4 + 2
+        qm = quantized_at(BitwidthCombination.parse("8,8,6,8,6,4,8,8,8,8"))
+        assert bias_width(qm, "ffn.w1") == 6 + 4 + 2
+        assert bias_width(qm, "ffn.w2") == 4 + 4 + 2

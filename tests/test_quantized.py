@@ -111,14 +111,13 @@ class TestQuantizeModel:
             quantize_model(model, BitwidthCombination.uniform(8), ranges=ranges)
 
     def test_accumulator_bound_enforced(self):
-        from mixprec.quant import plan_cascade
         from mixprec.quantized import _assert_accumulator_bound
 
-        plan = plan_cascade(BitwidthCombination.uniform(8))
-        _assert_accumulator_bound(ModelConfig(seq_len=24, input_dim=16, d_model=64), plan)
+        combo = BitwidthCombination.uniform(8)
+        _assert_accumulator_bound(ModelConfig(seq_len=24, input_dim=16, d_model=64), combo)
         big = ModelConfig(seq_len=4, input_dim=2, d_model=8192)
         with pytest.raises(ValueError, match="accumulator"):
-            _assert_accumulator_bound(big, plan)
+            _assert_accumulator_bound(big, combo)
 
     def test_ffn_hidden_grid_is_relu_compatible(self, setup):
         model, data = setup
@@ -322,7 +321,7 @@ class TestSteGradients:
         from mixprec.quantized import _weight_params
 
         def run_at(m):
-            engine = _FakeEngine(m, ctx.plan, _EmaProvider(ctx, observe=False), surrogate=True)
+            engine = _FakeEngine(m, ctx.combo, _EmaProvider(ctx, observe=False), surrogate=True)
             Y, cache = engine.run(X, "train")
             fingerprint = np.concatenate(
                 [np.asarray(v).ravel() for _, v in sorted(cache["masks"].items())]
@@ -331,7 +330,7 @@ class TestSteGradients:
 
         _, base_fp, cache, Y = run_at(model.copy())
         grads = backward(model, cache, 2.0 * (Y - y) / Y.size)
-        base_wp = _weight_params(model, ctx.plan)
+        base_wp = _weight_params(model, ctx.combo)
 
         step = 1e-5
         checked = 0
@@ -346,7 +345,7 @@ class TestSteGradients:
                     loss, fp, _, _ = run_at(probe)
                     probes.append(loss)
                     fps.append(fp)
-                    wps.append(_weight_params(probe, ctx.plan))
+                    wps.append(_weight_params(probe, ctx.combo))
                 # straight-through treats clamp states and calibration ranges
                 # as constants: only probes that leave both untouched are a
                 # valid finite-difference oracle

@@ -10,9 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixprec.cli import run
-from mixprec.components import RESOURCE_ORDER, BitwidthCombination, ComponentId, ResourceKind
+from mixprec.components import (
+    ALL_COMPONENTS,
+    KEY_COMPONENTS,
+    OVERHEAD_COMPONENTS,
+    RESOURCE_ORDER,
+    VALID_BITWIDTHS,
+    BitwidthCombination,
+    ComponentId,
+    ResourceKind,
+)
 from mixprec.estimator import EstimateOptions, estimate
 from mixprec.knowledge import KnowledgeDatabase, ResourceVector, bundled_database, save
 from mixprec.search import (
@@ -35,7 +46,6 @@ DEFAULT_THRESHOLDS = Thresholds.of(80, 100, 100, 100)
 OPTIONS = {
     "no-overhead": EstimateOptions(),
     "max": EstimateOptions(include_overhead=True),
-    "mode": EstimateOptions(include_overhead=True, overhead_bitwidth_rule="mode"),
 }
 THRESHOLD_CASES = {
     "none-pass": Thresholds.of(0, 0, 0, 0),
@@ -209,7 +219,7 @@ class TestIndexSpaceMatchesObjects:
         for n in (12, 18, 24)
         for o, opts in OPTIONS.items()
         for t, thresholds in THRESHOLD_CASES.items()
-        # every row surviving makes the object reference slow: once per overhead rule
+        # every row surviving makes the object reference slow: once per overhead option
         if t != "all-pass" or n == 12
     ])
     def test_full_space(self, db, all_combos, n, opts, thresholds):
@@ -287,6 +297,71 @@ def exact_counts(values: list[Decimal], bins: int) -> list[int]:
     return counts
 
 
+@st.composite
+def databases_and_thresholds(draw):
+    """A one-length database with entries in [0, high] and thresholds in
+    [4 high, 13 high], each with 0 to ``places`` <= 20 decimal places."""
+    places = draw(st.integers(0, 20))
+    high = draw(st.sampled_from([1, 10, 100]))
+
+    def decimals(count: int, top: int) -> list[Decimal]:
+        ks = draw(st.lists(st.integers(0, top * 10**places), min_size=count, max_size=count))
+        ps = draw(st.lists(st.integers(0, places), min_size=count, max_size=count))
+        return [Decimal(k // 10 ** (places - p)).scaleb(-p) for k, p in zip(ks, ps)]
+
+    keys = [(12, comp, kind, b)
+            for comp in ALL_COMPONENTS for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS]
+    db = KnowledgeDatabase(entries=dict(zip(keys, decimals(len(keys), high))),
+                           seq_lens=frozenset({12}))
+    return db, Thresholds(*(4 * high + v for v in decimals(4, 9 * high)))
+
+
+def decimal_places(value: Decimal) -> int:
+    return max(0, -value.as_tuple().exponent)
+
+
+class TestExactAtAnyDecimalPlaces:
+    """search() on integers over 10^places equals the Decimal estimate, or
+    raises ValueError (exit 2 in the CLI) exactly when the sum of the
+    per-component maxima on that denominator leaves 64 bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=databases_and_thresholds(),
+        codes=st.lists(st.integers(0, TOTAL_COMBINATIONS - 1), min_size=1, max_size=200,
+                       unique=True),
+        overhead=st.booleans(),
+        bins=st.integers(1, 64),
+    )
+    def test_subset_matches_decimal_estimate(self, case, codes, overhead, bins):
+        db, thresholds = case
+        opts = EstimateOptions(include_overhead=overhead)
+        subset = CandidateSet(codes=np.array(codes))
+        stated = [*db.entries.values(), *vars(thresholds).values()]
+        places = max(decimal_places(v) for v in stated)
+        worst = max(
+            sum(max(db.lookup(12, comp, kind, b) for b in VALID_BITWIDTHS)
+                for comp in KEY_COMPONENTS + OVERHEAD_COMPONENTS)
+            for kind in RESOURCE_ORDER
+        )
+        if worst.scaleb(places) >= 2**63:
+            with pytest.raises(ValueError, match="overflow 64 bits"):
+                search(db, 12, thresholds, candidates=subset, opts=opts)
+            return
+        result = search(db, 12, thresholds, top_k=len(subset), candidates=subset, opts=opts)
+        want = {}
+        for combo in subset.combos:
+            vec = estimate(db, 12, combo, opts)
+            if all(vec[kind] <= thresholds[kind] for kind in RESOURCE_ORDER):
+                want[combo] = vec
+        assert result.filtered_count == len(want)
+        assert {c.combo: c.estimate for c in result.selected} == want
+        values = [vec.luts for vec in want.values()]
+        if len(set(values)) > 1:
+            got = result.histogram(ResourceKind.LUTS, bins)
+            assert [count for _, _, count in got] == exact_counts(values, bins)
+
+
 def scored_with_luts(luts: str) -> ScoredCandidate:
     return ScoredCandidate(
         combo=BitwidthCombination.uniform(4), estimate=ResourceVector.of(luts, 0, 0, 0), score=40
@@ -310,6 +385,12 @@ class TestHistogram:
         values = [c.estimate[kind] for c in filtered]
         assert [count for _, _, count in got] == exact_counts(values, bins)
         assert search(db, 18, DEFAULT_THRESHOLDS, opts=opts).histogram(kind, bins) == got
+
+    def test_spread_times_bins_beyond_int64_stays_exact(self):
+        values = np.array([0, 2**61 + 1, 2**62, 2**63 - 1], dtype=np.int64)
+        got = search_module._binned(values, 0, 20)
+        want = exact_counts([Decimal(int(v)) for v in values], 20)
+        assert [count for _, _, count in got] == want
 
     def test_counts_sum_to_filtered(self, filtered_n12):
         bins = histogram(filtered_n12, ResourceKind.LUTS, bins=20)
