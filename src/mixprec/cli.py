@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -344,31 +345,51 @@ def cmd_pipeline(args) -> int:
 
         stage = "float-baseline"
         cfg = _train_config(args)
-        float_model, float_report = train(init(config, args.seed), dataset, cfg)
-        save_model(float_model, run_dir / "float_model.json")
-        float_pred = _predict(float_model, dataset.test_X)
-        float_rmse = rmse(float_pred, dataset.test_y, dataset)
-
-        entries = []
-        for rank, cand in enumerate(result.selected):
-            stage = f"candidate-{rank}"
-            qat_cfg = dataclasses.replace(cfg, qat=cand.combo)
-            qat_model, qat_report, ranges = train_qat(init(config, args.seed), dataset, qat_cfg)
-            qm = quantize_model(qat_model, cand.combo, ranges=ranges)
-            model_path = run_dir / f"candidate_{rank}.json"
-            save_model(qm, model_path)
-            pred = _predict(qm, dataset.test_X)
-            value = rmse(pred, dataset.test_y, dataset)
-            entries.append(
-                {
-                    "combo": list(cand.combo.bits),
-                    "score": cand.score,
-                    "estimate": cand.estimate.to_dict(),
-                    "rmse": value,
-                    "best_val_loss": qat_report.best_val_loss,
-                    "model_file": model_path.name,
-                }
+        # independent seeded trainings, the longer QAT jobs first; each owns
+        # its model, RNG and statistics and only reads the dataset
+        jobs = {
+            f"candidate-{rank}": functools.partial(
+                _train_candidate, init(config, args.seed), dataset,
+                dataclasses.replace(cfg, qat=cand.combo),
             )
+            for rank, cand in enumerate(result.selected)
+        }
+        jobs["float-baseline"] = functools.partial(train, init(config, args.seed), dataset, cfg)
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(_training_workers(len(jobs)))
+        try:
+            futures = {name: pool.submit(job) for name, job in jobs.items()}
+            # collected in a fixed order, so every file and RMSE is the same
+            # however the jobs were scheduled
+            stage = "float-baseline"
+            float_model, float_report = futures[stage].result()
+            save_model(float_model, run_dir / "float_model.json")
+            float_pred = _predict(float_model, dataset.test_X)
+            float_rmse = rmse(float_pred, dataset.test_y, dataset)
+
+            entries = []
+            for rank, cand in enumerate(result.selected):
+                stage = f"candidate-{rank}"
+                qm, qat_report = futures[stage].result()
+                model_path = run_dir / f"candidate_{rank}.json"
+                save_model(qm, model_path)
+                pred = _predict(qm, dataset.test_X)
+                value = rmse(pred, dataset.test_y, dataset)
+                entries.append(
+                    {
+                        "combo": list(cand.combo.bits),
+                        "score": cand.score,
+                        "estimate": cand.estimate.to_dict(),
+                        "rmse": value,
+                        "best_val_loss": qat_report.best_val_loss,
+                        "model_file": model_path.name,
+                    }
+                )
+        finally:
+            # after a failed stage the jobs not yet started are dropped and
+            # the running ones finish: no thread outlives the command
+            pool.shutdown(cancel_futures=True)
 
         stage = "report"
         report = {
@@ -396,6 +417,18 @@ def cmd_pipeline(args) -> int:
         return 0
     except DATA_ERRORS as e:
         raise ValueError(f"pipeline stage {stage!r} failed: {e}") from e
+
+
+def _train_candidate(model: FloatModel, dataset, cfg: TrainConfig):
+    """QAT at ``cfg.qat``, then quantization with the frozen ranges."""
+    trained, report, ranges = train_qat(model, dataset, cfg)
+    return quantize_model(trained, cfg.qat, ranges=ranges), report
+
+
+def _training_workers(jobs: int) -> int:
+    """Training threads: one per CPU this process may run on, at most one per job."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, jobs))
 
 
 def _default_run_dir(args) -> Path:

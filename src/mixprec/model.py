@@ -12,9 +12,10 @@ integer-only inference.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        """The ``config`` object of a model file: every field, each an integer."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ValueError(f"config.{unknown[0]}: unknown field")
+        values = {name: _get(d, name, int, f"config.{name}") for name in names}
+        try:
+            return cls(**values)
+        except ValueError as e:
+            raise ValueError(f"config: {e}") from e
 
 
 @dataclass
@@ -116,13 +126,18 @@ class FloatModel:
         expected = tensor_shapes(self.config)
         for name, shape in expected.items():
             if name not in self.params:
-                raise ValueError(f"missing tensor {name}")
+                raise ValueError(f"tensor {name!r}: missing")
             if self.params[name].shape != shape:
                 raise ValueError(
-                    f"{name}: shape {self.params[name].shape}, expected {shape}"
+                    f"tensor {name!r}: shape {list(self.params[name].shape)}, "
+                    f"expected {list(shape)}"
                 )
-        if any(np.any(self.params[f"{bn}.running_var"] <= 0) for bn in BATCH_NORMS):
-            raise ValueError("BN running variance must be positive")
+        extra = sorted(set(self.params) - set(expected))
+        if extra:
+            raise ValueError(f"tensor {extra[0]!r}: unexpected")
+        for name in (f"{bn}.running_var" for bn in BATCH_NORMS):
+            if np.any(self.params[name] <= 0):
+                raise ValueError(f"tensor {name!r}: batch-norm running variance must be positive")
 
     def copy(self) -> "FloatModel":
         return FloatModel(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -334,7 +349,10 @@ class Dataflow:
         return p @ v
 
     def relu(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+        # the backward reads only the sign, and ``x`` is the linear's fresh
+        # output, so the ReLU may overwrite it
+        self.cache["relu_sign"] = x > 0
+        return np.maximum(x, 0.0, out=x)
 
     def pool(self, f: np.ndarray) -> np.ndarray:
         return f.mean(axis=1)
@@ -370,8 +388,7 @@ class Dataflow:
         r1 = self.residual_add("add_mha", xe, mo, "add_mha.out")
         a = self.act("bn_mha.out", self.bn("bn_mha", r1, mode))
 
-        f1_pre = self.linear("ffn.w1", a)
-        f1 = self.act("ffn.hidden", self.relu(f1_pre))
+        f1 = self.act("ffn.hidden", self.relu(self.linear("ffn.w1", a)))
         f2 = self.act("ffn.out", self.linear("ffn.w2", f1))
         r2 = self.residual_add("add_ffn", a, f2, "add_ffn.out")
         f = self.act("bn_ffn.out", self.bn("bn_ffn", r2, mode))
@@ -379,10 +396,10 @@ class Dataflow:
         g = self.act("gap.out", self.pool(f))
         y = self.act("output", self.linear("l_output", g))
 
+        # what ``training.backward`` reads, and the input and output; every
+        # other intermediate dies with this call
         self.cache.update(
-            X=X, x0=x0, H=h, Xe=xe, Q=q, K=k, V=v, S=s, P=p,
-            ctx=ctx, mha_out=mo, R1=r1, A=a, F1_pre=f1_pre, F1=f1, F2=f2,
-            R2=r2, F=f, g=g, Y=y, mode=mode,
+            X=X, x0=x0, Xe=xe, Q=q, K=k, V=v, P=p, ctx=ctx, A=a, F1=f1, g=g, Y=y, mode=mode,
         )
         return (y[0] if single else y), self.cache
 
@@ -428,12 +445,68 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    data = base64.b64decode(entry["data"])
-    a = np.frombuffer(data, dtype=np.dtype(entry["dtype"]))
+# JSON type names for error messages
+_JSON_TYPE = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", (int, float): "a number", bool: "true or false", type(None): "null",
+}
+
+
+def _expect(value, kind, where: str):
+    """``value``, which must be of JSON type ``kind``; errors name the field
+    as ``where``."""
+    # Python's bool is an int, JSON's true and false are no numbers
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{where}: expected {_JSON_TYPE[kind]}, got {_JSON_TYPE[type(value)]}")
+    return value
+
+
+def _get(doc: dict, key: str, kind, where: str):
+    """``doc[key]``, which must be present and of JSON type ``kind``."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing")
+    return _expect(doc[key], kind, where)
+
+
+def _decode_array(entry, where: str, dtype: str) -> np.ndarray:
+    """A tensor entry as ``_encode_array`` writes it, of the given dtype."""
+    _expect(entry, dict, where)
+    shape = _get(entry, "shape", list, f"{where} shape")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"{where} shape: expected non-negative integers, got {shape}")
+    stored = _get(entry, "dtype", str, f"{where} dtype")
+    if stored != dtype:
+        raise ValueError(f"{where} dtype: {stored!r}, expected {dtype!r}")
+    try:
+        data = base64.b64decode(_get(entry, "data", str, f"{where} data"), validate=True)
+    except binascii.Error as e:
+        raise ValueError(f"{where} data: not base64 ({e})") from e
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) != size:
+        raise ValueError(f"{where} data: {len(data)} bytes, shape {shape} needs {size}")
+    a = np.frombuffer(data, dtype=dtype)
     if not np.isfinite(a).all():
-        raise ValueError("non-finite values")
-    return a.reshape(entry["shape"]).copy()
+        raise ValueError(f"{where}: non-finite values")
+    return a.reshape(shape).copy()
+
+
+def _quant_params(d, where: str):
+    """A grid as ``QuantParams.to_dict`` writes it."""
+    from .quant import QuantParams, QuantScheme
+
+    _expect(d, dict, where)
+    scheme = _get(d, "scheme", str, f"{where} scheme")
+    schemes = [s.value for s in QuantScheme]
+    if scheme not in schemes:
+        raise ValueError(f"{where} scheme: {scheme!r}, expected one of {schemes}")
+    scale = _get(d, "scale", (int, float), f"{where} scale")
+    zero_point = _get(d, "zero_point", int, f"{where} zero_point")
+    bitwidth = _get(d, "bitwidth", int, f"{where} bitwidth")
+    signed = _get(d, "signed", bool, f"{where} signed")
+    try:
+        return QuantParams(float(scale), zero_point, bitwidth, signed, QuantScheme(scheme))
+    except (ValueError, OverflowError) as e:  # float() of a huge integer overflows
+        raise ValueError(f"{where}: {e}") from e
 
 
 def save_model(model, path: str | Path) -> None:
@@ -464,38 +537,60 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Load a model envelope; returns FloatModel or QuantizedModel."""
-    from .components import BitwidthCombination
-    from .quant import QuantParams, QuantizedTensor
-    from .quantized import QuantizedModel, build_quantized
+    """Load a model envelope; returns FloatModel or QuantizedModel.
 
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("version")
-    if version != FILE_VERSION:
-        raise ValueError(f"{path}: unsupported model file version {version!r}")
-    config = ModelConfig.from_dict(doc["config"])
-    kind = doc.get("kind")
-    if kind not in ("float", "quantized"):
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    arrays = {}
-    for name, entry in doc["tensors"].items():
-        try:
-            arrays[name] = _decode_array(entry)
-        except ValueError as e:
-            raise ValueError(f"{path}: tensor {name!r}: {e}") from e
-    if kind == "float":
-        return FloatModel(config=config, params=arrays)
-    combo = BitwidthCombination(tuple(doc["combo"]))
-    tensors, bn_folds = {}, {}
-    for name, entry in doc["tensors"].items():
-        if "quant" in entry:
-            tensors[name] = QuantizedTensor(arrays[name], QuantParams.from_dict(entry["quant"]))
-        else:
-            bn_folds[name] = arrays[name]
-    act_params = {
-        name: QuantParams.from_dict(d) for name, d in doc["junctions"].items()
-    }
+    Every field is checked where it is read: a malformed or inconsistent
+    file raises ValueError naming the file and the field.
+    """
     try:
-        return build_quantized(config, combo, tensors, bn_folds, act_params)
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # also undecodable bytes
+        raise ValueError(f"{path}: not a JSON file ({e})") from e
+    try:
+        return _model_from_doc(doc)
     except ValueError as e:
         raise type(e)(f"{path}: {e}") from e
+
+
+def _model_from_doc(doc):
+    from .components import BitwidthCombination
+    from .quant import QuantizedTensor
+    from .quantized import build_quantized
+
+    _expect(doc, dict, "top level")
+    version = doc.get("version")
+    if type(version) is not int or version != FILE_VERSION:
+        raise ValueError(f"unsupported model file version {version!r}")
+    config = ModelConfig.from_dict(_get(doc, "config", dict, "config"))
+    kind = doc.get("kind")
+    if kind not in ("float", "quantized"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    entries = _get(doc, "tensors", dict, "tensors")
+    if kind == "float":
+        params = {
+            name: _decode_array(entry, f"tensor {name!r}", "<f8")
+            for name, entry in entries.items()
+        }
+        return FloatModel(config=config, params=params)
+
+    bits = tuple(_expect(b, int, "combo") for b in _get(doc, "combo", list, "combo"))
+    try:
+        combo = BitwidthCombination(bits)
+    except ValueError as e:
+        raise ValueError(f"combo: {e}") from e
+    tensors, bn_folds = {}, {}
+    for name, entry in entries.items():
+        where = f"tensor {name!r}"
+        if isinstance(entry, dict) and "quant" in entry:
+            params = _quant_params(entry["quant"], f"{where} quant")
+            data = _decode_array(entry, where, "<i4")
+            if data.size and not params.q_min <= int(data.min()) <= int(data.max()) <= params.q_max:
+                raise ValueError(f"{where}: values outside its {params.bitwidth}-bit grid")
+            tensors[name] = QuantizedTensor(data, params)
+        else:
+            bn_folds[name] = _decode_array(entry, where, "<f8")
+    act_params = {
+        name: _quant_params(d, f"junction {name!r}")
+        for name, d in _get(doc, "junctions", dict, "junctions").items()
+    }
+    return build_quantized(config, combo, tensors, bn_folds, act_params)

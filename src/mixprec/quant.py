@@ -53,8 +53,9 @@ class QuantParams:
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.bitwidth < 2:
-            raise ValueError(f"bitwidth must be >= 2, got {self.bitwidth}")
+        # the integer path computes in int64
+        if not 2 <= self.bitwidth <= 64:
+            raise ValueError(f"bitwidth must be in [2, 64], got {self.bitwidth}")
         lo, hi = int_range(self.bitwidth, self.signed)
         if self.scheme is QuantScheme.SYMMETRIC:
             if self.zero_point != 0:
@@ -84,16 +85,6 @@ class QuantParams:
             "signed": self.signed,
             "scheme": self.scheme.value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantParams":
-        return cls(
-            scale=float(d["scale"]),
-            zero_point=int(d["zero_point"]),
-            bitwidth=int(d["bitwidth"]),
-            signed=bool(d["signed"]),
-            scheme=QuantScheme(d["scheme"]),
-        )
 
 
 @dataclass(frozen=True)

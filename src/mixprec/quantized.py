@@ -340,15 +340,18 @@ def _check_stored(
             raise CalibrationError(f"no calibration for junction {junction!r}")
         grid = _junction_grid(combo, junction)
         _check_grid(f"junction {junction!r}", act_params[junction], *grid)
+    extra = sorted(set(act_params) - set(JUNCTION_COMPONENT))
+    if extra:
+        raise ValueError(f"junction {extra[0]!r}: unexpected")
     biases = [f"{name}.bias" for name in LINEARS]
     folds = [f"{prefix}.fold_{ab}" for prefix in BATCH_NORMS for ab in "ab"]
     for store, names in ((tensors, [*WEIGHT_COMPONENT, *biases]), (bn_folds, folds)):
         for name in names:
             if name not in store:
-                raise ValueError(f"missing tensor {name!r}")
+                raise ValueError(f"tensor {name!r}: missing")
         extra = sorted(set(store) - set(names))
         if extra:
-            raise ValueError(f"unexpected tensor {extra[0]!r}")
+            raise ValueError(f"tensor {extra[0]!r}: unexpected")
     shapes = tensor_shapes(config) | {name: (config.d_model,) for name in folds}
     stored = {name: t.data for name, t in tensors.items()} | bn_folds
     for name, data in stored.items():
@@ -533,6 +536,11 @@ class _FakeEngine(Dataflow):
     rounding is disabled while the clamp structure (and masks) remain; the
     result is the differentiable function the straight-through gradient is
     exact for.
+
+    An engine reads the model's tensors once: their grids are fixed at
+    construction and each tensor is snapped once per grid, however many
+    batches ``predict`` runs. Training builds a new engine for every step,
+    since the parameters move between steps.
     """
 
     def __init__(
@@ -546,6 +554,8 @@ class _FakeEngine(Dataflow):
         self.provider = provider
         self.surrogate = surrogate
         self.weight_params = _weight_params(model, combo)
+        # mask key -> (grid, snapped tensor, mask)
+        self._tensors: dict[str, tuple[QuantParams, np.ndarray, np.ndarray]] = {}
 
     def _snap(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
         # fake_quantize gives the bits and mask of round_half_away -> clip, so
@@ -563,23 +573,33 @@ class _FakeEngine(Dataflow):
         self.masks[mask_key] = inside
         return out
 
+    def _snap_tensor(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
+        cached = self._tensors.get(mask_key)
+        if cached is None or cached[0] != params:
+            out = self._snap(value, params, mask_key)
+            self._tensors[mask_key] = (params, out, self.masks[mask_key])
+            return out
+        self.masks[mask_key] = cached[2]
+        return cached[1]
+
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
         return self._snap(value, self.provider(junction, value), junction)
 
     def weight(self, name: str) -> np.ndarray:
         params = self.weight_params[f"{name}.weight"]
-        return self._snap(super().weight(name), params, f"w:{name}")
+        return self._snap_tensor(super().weight(name), params, f"w:{name}")
 
     def bias(self, name: str) -> np.ndarray:
         # the feeding junction is always computed (hence observed) before the
-        # linear that consumes it, so its parameters are available here
+        # linear that consumes it, so its parameters are available here; the
+        # bias's grid follows them, so a moved input grid snaps it again
         x_params = self.provider(LINEARS[name][0], None)
         params = derive_bias_params(x_params, self.weight_params[f"{name}.weight"])
-        return self._snap(super().bias(name), params, f"b:{name}")
+        return self._snap_tensor(super().bias(name), params, f"b:{name}")
 
     def pos_encoding(self) -> np.ndarray:
         params = self.weight_params["pos_encoding"]
-        return self._snap(super().pos_encoding(), params, "w:pos_encoding")
+        return self._snap_tensor(super().pos_encoding(), params, "w:pos_encoding")
 
     def residual_add(
         self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str

@@ -108,18 +108,33 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     those gradients differ from an einsum reference only in the last places
     (within 2 * gamma_N * sum|x||d|, N the row count). Every other gradient
     is bit-identical to the hand-written float backward.
+
+    The backward consumes ``cache``: the FFN block's activations (the
+    largest) leave it once read, so they are freed before the attention
+    block's gradients are allocated.
     """
     p = model.params
     masks = cache["masks"]
     d = model.config.d_model
     n = model.config.seq_len
     grads: dict[str, np.ndarray] = {}
-    dY = np.asarray(dY, dtype=np.float64)
+    dY = np.array(dY, dtype=np.float64)  # a copy: it is masked in place
     if dY.ndim == 1:
         dY = dY[None]
 
-    def mask(key: str, grad: np.ndarray) -> np.ndarray:
-        return grad * masks[key] if key in masks else grad
+    def mask(key: str, grad: np.ndarray, shared: bool = False) -> np.ndarray:
+        """``grad`` through the straight-through mask recorded under ``key``,
+        in place. Where another branch still reads ``grad`` (``shared``) the
+        result is a new array, so masking either one in place leaves the
+        other alone; with no masks recorded nothing is masked in place, and
+        ``grad`` itself is returned."""
+        if shared:
+            if key in masks:
+                return grad * masks[key]
+            return grad.copy() if masks else grad
+        if key in masks:
+            grad *= masks[key]
+        return grad
 
     def linear_back(name: str, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
         """Weight and bias gradients of ``x @ w + b``; returns the input's."""
@@ -137,16 +152,18 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
         mask("bn_ffn.out", dF), cache["bn_ffn"], p["bn_ffn.gamma"]
     )
     dR2 = mask("add_ffn.out", dR2)
-    dA = mask("add_ffn.a1", dR2)
-    dF1 = linear_back("ffn.w2", cache["F1"], mask("ffn.out", mask("add_ffn.a2", dR2)))
-    dF1_pre = mask("ffn.hidden", dF1) * (cache["F1_pre"] > 0)
-    dA = dA + linear_back("ffn.w1", cache["A"], dF1_pre)
+    dA = mask("add_ffn.a1", dR2, shared=True)
+    dF1 = linear_back("ffn.w2", cache.pop("F1"), mask("ffn.out", mask("add_ffn.a2", dR2)))
+    dF1 = mask("ffn.hidden", dF1)
+    dF1 *= cache.pop("relu_sign")
+    dA = dA + linear_back("ffn.w1", cache.pop("A"), dF1)
+    del dF1
 
     dR1, grads["bn_mha.gamma"], grads["bn_mha.beta"] = _bn_backward(
         mask("bn_mha.out", dA), cache["bn_mha"], p["bn_mha.gamma"]
     )
     dR1 = mask("add_mha.out", dR1)
-    dXe = mask("add_mha.a1", dR1)
+    dXe = mask("add_mha.a1", dR1, shared=True)
     d_ctx = linear_back("mha.wo", cache["ctx"], mask("mha.out", mask("add_mha.a2", dR1)))
 
     d_ctx = mask("mha.context", d_ctx)
@@ -164,7 +181,8 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
         dXe = dXe + linear_back(name, cache["Xe"], mask(junction, dT))
 
     dXe = mask("add_pe.out", dXe)
-    grads["pos_encoding"] = mask("w:pos_encoding", mask("add_pe.a2", dXe)).sum(axis=0)
+    d_pe = mask("w:pos_encoding", mask("add_pe.a2", dXe, shared=True))
+    grads["pos_encoding"] = d_pe.sum(axis=0)
     linear_back("l_input", cache["x0"], mask("l_input.out", mask("add_pe.a1", dXe)))
 
     # running statistics carry no gradient
@@ -277,6 +295,7 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
             Xb, yb = X_fit[idx], y_fit[idx]
             Y, cache = ctx.forward_train(model, Xb)
             grads = ctx.backward(model, cache, 2.0 * (Y - yb) / Y.size)
+            del cache  # so the next forward starts without this one's intermediates
             loss = mse(Y, yb)
             if not math.isfinite(loss):
                 raise RuntimeError(

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import threading
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixprec import cli
 from mixprec.cli import USAGE_ERROR, _emit, run
 from mixprec.components import ALL_COMPONENTS
 from mixprec.data import make_synthetic
@@ -357,6 +360,95 @@ class TestModelCommands:
             _emit({"rmse": float("nan")}, None)
 
 
+def _zero_first(doc: dict, name: str) -> None:
+    entry = doc["tensors"][name]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"]).copy()
+    values[0] = 0
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+class TestModelFiles:
+    """A malformed model file exits 2 naming the file and the field."""
+
+    @pytest.fixture(scope="class")
+    def model_docs(self, data_path, tmp_path_factory) -> dict:
+        work = tmp_path_factory.mktemp("models")
+        model, qmodel = work / "float.json", work / "quantized.json"
+        assert run(["train", "--data", data_path, "--n", "8", "--d-model", "8", "--epochs", "1",
+                    "--patience", "1", "--batch-size", "64", "--out", str(model)]) == 0
+        assert run(["quantize", "--model", str(model), "--combo", "8,8,8,8,8,8,8,8,8,8",
+                    "--data", data_path, "--out", str(qmodel)]) == 0
+        return {"float": model.read_text(), "quantized": qmodel.read_text()}
+
+    @pytest.mark.parametrize("kind, mutate, named", [
+        ("float", lambda doc: doc.pop("config"), "config: missing"),
+        ("float", lambda doc: doc["config"].pop("d_model"), "config.d_model: missing"),
+        ("float", lambda doc: doc["config"].update(frob=1), "config.frob: unknown field"),
+        ("float", lambda doc: doc["config"].update(seq_len="8"),
+         "config.seq_len: expected an integer, got a string"),
+        ("float", lambda doc: doc["config"].update(heads=2),
+         "config: only single-head attention is supported"),
+        ("float", lambda doc: doc.pop("tensors"), "tensors: missing"),
+        ("float", lambda doc: doc["tensors"].pop("ffn.w1.bias"), "tensor 'ffn.w1.bias': missing"),
+        ("float", lambda doc: doc["tensors"].update(extra=doc["tensors"]["ffn.w1.bias"]),
+         "tensor 'extra': unexpected"),
+        ("float", lambda doc: doc["tensors"]["ffn.w1.weight"].update(dtype="<f3"),
+         "tensor 'ffn.w1.weight' dtype: '<f3', expected '<f8'"),
+        ("float", lambda doc: doc["tensors"]["ffn.w1.weight"].update(data="?"),
+         "tensor 'ffn.w1.weight' data: not base64"),
+        ("float", lambda doc: doc["tensors"]["ffn.w1.weight"].update(shape=[8, 33]),
+         "tensor 'ffn.w1.weight' data: 2048 bytes, shape [8, 33] needs 2112"),
+        ("float", lambda doc: _zero_first(doc, "bn_mha.running_var"),
+         "tensor 'bn_mha.running_var': batch-norm running variance must be positive"),
+        ("quantized", lambda doc: doc.update(combo=None), "combo: expected an array, got null"),
+        ("quantized", lambda doc: doc.update(combo=[8] * 9),
+         "combo: combination needs 10 bitwidths, got 9"),
+        ("quantized", lambda doc: doc.update(combo=[8.0] * 10),
+         "combo: expected an integer, got a number"),
+        ("quantized", lambda doc: doc.pop("junctions"), "junctions: missing"),
+        ("quantized", lambda doc: doc["junctions"]["mha.q"].pop("scheme"),
+         "junction 'mha.q' scheme: missing"),
+        ("quantized", lambda doc: doc["junctions"]["mha.q"].update(signed="yes"),
+         "junction 'mha.q' signed: expected true or false, got a string"),
+        ("quantized", lambda doc: doc["junctions"]["mha.q"].update(bitwidth=10**30),
+         "junction 'mha.q': bitwidth must be in [2, 64]"),
+        ("quantized", lambda doc: doc["junctions"].update(extra=doc["junctions"]["mha.q"]),
+         "junction 'extra': unexpected"),
+        ("quantized", lambda doc: doc["tensors"]["mha.wq.weight"].update(dtype="<f8"),
+         "tensor 'mha.wq.weight' dtype: '<f8', expected '<i4'"),
+        ("quantized", lambda doc: doc["tensors"]["mha.wq.weight"]["quant"].update(
+            bitwidth=2, zero_point=0),
+         "tensor 'mha.wq.weight': values outside its 2-bit grid"),
+    ], ids=["no-config", "no-d-model", "unknown-config-key", "string-seq-len",
+            "two-heads", "no-tensors", "missing-tensor", "extra-tensor", "unknown-dtype",
+            "bad-base64", "shape-off-data", "zero-running-var", "null-combo", "short-combo",
+            "float-combo",
+            "no-junctions", "grid-without-scheme", "string-signed", "huge-bitwidth",
+            "extra-junction", "float-quantized-data", "data-off-grid"])
+    def test_malformed_field_is_named(
+        self, model_docs, data_path, tmp_path, capsys, kind, mutate, named
+    ):
+        doc = json.loads(model_docs[kind])
+        mutate(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", "--model", str(path), "--data", data_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: {named}" in captured.err
+
+    @pytest.mark.parametrize("text, named", [
+        ("{", "not a JSON file"),
+        ("[]", "top level: expected an object, got an array"),
+    ])
+    def test_not_a_model_object(self, data_path, tmp_path, capsys, text, named):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert run(["eval", "--model", str(path), "--data", data_path]) == 2
+        assert f"error: {path}: {named}" in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_end_to_end(self, kb_path, data_path, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -407,3 +499,58 @@ class TestPipeline:
         ])
         assert code == 2
         assert "stage 'dataset'" in capsys.readouterr().err
+
+    def pipeline_args(self, kb_path, data_path, run_dir) -> list[str]:
+        return [
+            "pipeline", "--kb", kb_path, "--data", data_path, "--n", "12",
+            "--d-model", "16", "--t-luts", "80", "--t-dram", "100", "--t-bram", "100",
+            "--t-dsps", "100", "--top", "2", "--epochs", "2", "--patience", "2",
+            "--batch-size", "64", "--seed", "11", "--out-dir", str(run_dir),
+        ]
+
+    def test_same_artifacts_on_one_or_two_training_threads(
+        self, kb_path, data_path, tmp_path, capsys, monkeypatch
+    ):
+        threads = threading.active_count()
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_training_workers", lambda jobs, n=workers: n)
+            run_dir = tmp_path / f"workers-{workers}"
+            assert run(self.pipeline_args(kb_path, data_path, run_dir)) == 0
+            assert threading.active_count() == threads
+            # the manifest holds the creation time
+            written[workers] = {
+                p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "manifest.json"
+            }
+        assert sorted(written[1]) == [
+            "candidate_0.json", "candidate_1.json", "float_model.json", "report.json",
+        ]
+        assert written[1] == written[2]
+
+    @pytest.mark.parametrize("failing, stage", [("train_qat", "candidate-1"),
+                                                ("train", "float-baseline")])
+    def test_failed_training_names_its_stage(
+        self, kb_path, data_path, tmp_path, capsys, monkeypatch, failing, stage
+    ):
+        second = search(load(kb_path), 12, Thresholds.of(80, 100, 100, 100), top_k=2).selected[1]
+        original = getattr(cli, failing)
+
+        def fail(model, dataset, cfg):
+            if failing == "train" or cfg.qat == second.combo:
+                raise ValueError("injected")
+            return original(model, dataset, cfg)
+
+        monkeypatch.setattr(cli, failing, fail)
+        monkeypatch.setattr(cli, "_training_workers", lambda jobs: 2)
+        threads = threading.active_count()
+        assert run(self.pipeline_args(kb_path, data_path, tmp_path / "run")) == 2
+        assert f"pipeline stage '{stage}' failed: injected" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus, jobs, workers", [(4, 3, 3), (4, 9, 4), (1, 3, 1)])
+    def test_training_workers_are_the_cpus_capped_at_the_jobs(
+        self, monkeypatch, cpus, jobs, workers
+    ):
+        cpu_set = set(range(cpus))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
+        assert cli._training_workers(jobs) == workers

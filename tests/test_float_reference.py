@@ -17,7 +17,7 @@ import float_reference
 import numpy as np
 import pytest
 
-from mixprec.model import ModelConfig, forward_float, init
+from mixprec.model import Dataflow, ModelConfig, init
 from mixprec.quantized import collect_ranges
 from mixprec.training import backward
 
@@ -29,8 +29,7 @@ UNIT_ROUNDOFF = 2.0**-53
 # linears whose input is (batch, seq_len, features); l_output's is (batch, d_model)
 SUMMED_WEIGHT_GRADS = ("l_input", "mha.wq", "mha.wk", "mha.wv", "mha.wo", "ffn.w1", "ffn.w2")
 
-# Float-cache tensor that held each junction's value before calibration
-# recorded ranges through the dataflow's hooks.
+# The reference cache's tensor for each junction's value.
 JUNCTION_CACHE_KEY = {
     "input": "X",
     "l_input.out": "H",
@@ -51,6 +50,23 @@ JUNCTION_CACHE_KEY = {
     "gap.out": "g",
     "output": "Y",
 }
+
+
+class JunctionRecorder(Dataflow):
+    """The float dataflow, keeping every junction's value and the ReLU's
+    input, which the library's cache does not hold."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.values: dict[str, np.ndarray] = {}
+
+    def act(self, junction: str, value: np.ndarray) -> np.ndarray:
+        self.values[junction] = value
+        return value
+
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        self.values["F1_pre"] = x.copy()  # the float ReLU overwrites its input
+        return super().relu(x)
 
 
 def trained_looking_model(seed: int, cfg: ModelConfig = CFG):
@@ -102,9 +118,18 @@ def compare_with_reference(cfg: ModelConfig, batch: int | None, mode: str) -> fl
     ref_model, new_model = trained_looking_model(1, cfg), trained_looking_model(1, cfg)
 
     y_ref, cache_ref = float_reference.forward_float(ref_model, X, mode)
-    y_new, cache_new = forward_float(new_model, X, mode)
+    recorder = JunctionRecorder(new_model)
+    y_new, cache_new = recorder.run(X, mode)
     assert np.array_equal(y_ref, y_new)
-    assert_same(cache_ref, cache_new, "cache")
+    # every reference tensor is checked: each junction's value and the
+    # ReLU's input as the forward computed them, and every entry the
+    # library's cache still holds (all that the backward reads)
+    recorded = {key: recorder.values[junction] for junction, key in JUNCTION_CACHE_KEY.items()}
+    recorded["F1_pre"] = recorder.values["F1_pre"]
+    assert set(cache_ref) <= set(recorded) | set(cache_new)
+    assert_same({k: cache_ref[k] for k in recorded}, recorded, "junctions")
+    assert_same({k: v for k, v in cache_ref.items() if k in cache_new}, cache_new, "cache")
+    assert np.array_equal(cache_new["relu_sign"], cache_ref["F1_pre"] > 0)
     # train mode moves the batch-norm running statistics in place
     assert_same(ref_model.params, new_model.params, "params")
 

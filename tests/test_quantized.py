@@ -7,9 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mixprec import quantized
 from mixprec.components import VALID_BITWIDTHS, BitwidthCombination
 from mixprec.model import (
+    EVAL_BATCH,
+    LINEARS,
     NODES,
+    WEIGHT_COMPONENT,
     ModelConfig,
     forward_float,
     init,
@@ -17,7 +21,7 @@ from mixprec.model import (
     save_model,
     trainable_tensors,
 )
-from mixprec.quant import QuantScheme
+from mixprec.quant import QuantScheme, fake_quantize
 from mixprec.quantized import (
     _PROB_ACC_BITS,
     CalibrationError,
@@ -140,6 +144,28 @@ class TestCrossPathConsistency:
                 y_fake = forward_fake_quant(model, combo, calib, X)
                 y_int = forward_integer(qm, qm.quantize_input(X))
                 assert np.array_equal(y_fake, y_int)
+
+    def test_batched_fake_quant_snaps_each_tensor_once(self, setup, monkeypatch):
+        model, data = setup
+        combo = BitwidthCombination.uniform(8)
+        qm = quantize_model(model, combo, calibration_data=data)
+        calib = calibrate(model, combo, data)
+        X = np.random.default_rng(10).normal(size=(3 * EVAL_BATCH + 5, 8, 3))
+        calls = []
+
+        def counted(values, params):
+            calls.append(params)
+            return fake_quantize(values, params)
+
+        monkeypatch.setattr(quantized, "fake_quantize", counted)
+        assert np.array_equal(
+            forward_fake_quant(model, combo, calib, X), forward_integer(qm, qm.quantize_input(X))
+        )
+        # every junction but the adds' outputs, and both addends of each add,
+        # in each of the four batches; the weights, the biases and the
+        # positional table once
+        adds = sum(node.op == "add" for node in NODES)
+        assert len(calls) == 4 * (len(NODES) + adds) + len(WEIGHT_COMPONENT) + len(LINEARS)
 
     def test_integer_path_deterministic(self, setup):
         model, data = setup

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from mixprec.components import BitwidthCombination
+from mixprec.data import ingest, window
 from mixprec.model import FloatModel, ModelConfig, forward_float, init, trainable_tensors
-from mixprec.training import Adam, TrainConfig, TrainReport, backward, mse, train
+from mixprec.training import Adam, TrainConfig, TrainReport, backward, mse, train, train_qat
 
 TINY = ModelConfig(seq_len=4, input_dim=2, d_model=4)
 
@@ -67,6 +71,30 @@ class TestGradientCheck:
             scale = max(np.abs(fd).max(), np.abs(analytic).max(), 1e-8)
             rel = np.abs(analytic - fd).max() / scale
             assert rel < 1e-3, f"{name}: relative gradient error {rel}"
+
+    def test_a_branch_mask_leaves_the_other_branch_alone(self):
+        # masks on one branch of each residual add and none on its addends:
+        # the backward masks in place, so the branches must not share an
+        # array. All-true addend masks change no value and force the split.
+        rng = np.random.default_rng(4)
+        model = init(TINY, 3)
+        X = rng.normal(size=(5, TINY.seq_len, TINY.input_dim))
+        dY = rng.normal(size=(5, 1))
+        act = (5, TINY.seq_len, TINY.d_model)
+        pe = (TINY.seq_len, TINY.d_model)
+        branch = {"ffn.out": rng.random(act) < 0.5, "mha.out": rng.random(act) < 0.5,
+                  "w:pos_encoding": rng.random(pe) < 0.5}
+        split = {"add_ffn.a1": np.ones(act, bool), "add_mha.a1": np.ones(act, bool),
+                 "add_pe.a2": np.ones(pe, bool)}
+
+        def grads_with(masks):
+            _, cache = forward_float(model.copy(), X, mode="train")
+            cache["masks"].update(masks)
+            return backward(model, cache, dY)
+
+        shared, apart = grads_with(branch), grads_with(branch | split)
+        for name in apart:
+            np.testing.assert_array_equal(shared[name], apart[name], err_msg=name)
 
     def test_zero_upstream_gradient(self):
         model = init(TINY, 2)
@@ -283,3 +311,28 @@ class TestLayerGradientsInIsolation:
         self.check(dQ, self.fd(lambda v: loss(v, K, V), Q))
         self.check(dK, self.fd(lambda v: loss(Q, v, V), K))
         self.check(dV, self.fd(lambda v: loss(Q, K, v), V))
+
+
+class TestTrainingMemory:
+    """A training step frees what the backward no longer reads: the last
+    step's intermediates before the next forward, the FFN block's once its
+    gradients are done. The pipeline trains two models at once on two CPUs."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        asset = resources.files("mixprec") / "assets" / "synthetic_2000.csv"
+        with resources.as_file(asset) as path:
+            return window(ingest(path, "target", None), 12, 0.1)
+
+    @pytest.mark.parametrize("qat, limit_mb", [(None, 40), (BitwidthCombination.uniform(8), 48)],
+                             ids=["float", "qat"])
+    def test_one_epoch_peak_at_the_paper_width(self, bundled, qat, limit_mb):
+        model = init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42)
+        cfg = TrainConfig(epochs=1, patience=1, seed=42, qat=qat)
+        tracemalloc.start()
+        try:
+            train_qat(model, bundled, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
