@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -42,7 +43,17 @@ from .knowledge import (
     parse_report,
     save,
 )
-from .model import Dataflow, FloatModel, ModelConfig, init, load_model, save_model
+from .model import (
+    JUNCTION_COMPONENT,
+    Dataflow,
+    FloatModel,
+    ModelConfig,
+    _expect,
+    _get,
+    init,
+    load_model,
+    save_model,
+)
 from .quantized import CalibrationError, forward_integer, quantize_model
 from .search import Thresholds, parse_candidate_file, search
 from .training import TrainConfig, train, train_qat
@@ -70,10 +81,6 @@ class _CliArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_combo(text: str) -> BitwidthCombination:
-    return BitwidthCombination.parse(text)
-
-
 def _emit(doc: dict, path: str | None) -> None:
     rendered = json.dumps(doc, indent=2, allow_nan=False)
     if path:
@@ -85,7 +92,7 @@ def _emit(doc: dict, path: str | None) -> None:
 def _load_windowed(args, seq_len: int):
     from .data import ingest, window
 
-    series = ingest(Path(args.data), args.target, getattr(args, "timestamp", None))
+    series = ingest(Path(args.data), args.target, args.timestamp)
     return window(series, seq_len, args.test_fraction)
 
 
@@ -94,7 +101,7 @@ def _resolve_target(args) -> None:
     if args.target is None:
         with open(args.data, newline="") as fh:
             header = next(csv.reader(fh), [])
-        columns = [h.strip() for h in header if h.strip() != getattr(args, "timestamp", None)]
+        columns = [h.strip() for h in header if h.strip() != args.timestamp]
         if not columns:
             raise ValueError(f"{args.data}: the CSV header names no data column")
         args.target = columns[-1]
@@ -177,12 +184,12 @@ def cmd_kb_show(args) -> int:
 
 
 def _estimate_options(args) -> EstimateOptions:
-    return EstimateOptions(include_overhead=bool(getattr(args, "overhead", False)))
+    return EstimateOptions(include_overhead=args.overhead)
 
 
 def cmd_estimate(args) -> int:
     db = load(args.kb)
-    combo = _parse_combo(args.combo)
+    combo = BitwidthCombination.parse(args.combo)
     vec = estimate(db, args.n, combo, _estimate_options(args))
     if args.json:
         doc = {
@@ -235,17 +242,14 @@ def _train_config(args) -> TrainConfig:
         batch_size=args.batch_size,
         lr=args.lr,
         seed=args.seed,
-        qat=_parse_combo(qat) if qat else None,
+        qat=BitwidthCombination.parse(qat) if qat else None,
     )
 
 
 def cmd_train(args) -> int:
     _resolve_target(args)
     dataset = _load_windowed(args, args.n)
-    m = dataset.X.shape[2]
-    if args.m not in (None, "auto") and int(args.m) != m:
-        raise ValueError(f"--m {args.m} does not match the {m} feature columns in {args.data}")
-    config = ModelConfig(seq_len=args.n, input_dim=m, d_model=args.d_model)
+    config = ModelConfig(seq_len=args.n, input_dim=dataset.X.shape[2], d_model=args.d_model)
     model = init(config, args.seed)
     cfg = _train_config(args)
     if cfg.qat is not None:
@@ -271,23 +275,49 @@ def cmd_quantize(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, FloatModel):
         raise ValueError("quantize expects a float model file")
-    combo = _parse_combo(args.combo)
+    combo = BitwidthCombination.parse(args.combo)
     if args.ranges:
-        doc = json.loads(Path(args.ranges).read_text())
-        if "qat_ranges" not in doc:
-            raise ValueError(f"{args.ranges} has no qat_ranges field")
-        ranges = {k: tuple(v) for k, v in doc["qat_ranges"].items()}
-        qm = quantize_model(model, combo, ranges=ranges)
+        qm = quantize_model(model, combo, ranges=_load_ranges(args.ranges))
     else:
         if not args.data:
             raise ValueError("provide --data for calibration or --ranges from a QAT report")
-        args.target = getattr(args, "target", None)
         _resolve_target(args)
         dataset = _load_windowed(args, model.config.seq_len)
         qm = quantize_model(model, combo, calibration_data=dataset.train_X)
     save_model(qm, args.out)
     print(f"quantized at {combo} -> {args.out}", file=sys.stderr)
     return 0
+
+
+def _load_ranges(path: str) -> dict[str, tuple[float, float]]:
+    """The ``qat_ranges`` of a ``train --qat --report`` file: every junction's
+    finite (min, max), each field checked where it is read."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # also undecodable bytes
+        raise ValueError(f"{path}: not a JSON file ({e})") from e
+    try:
+        found = _get(_expect(doc, dict, "top level"), "qat_ranges", dict, "qat_ranges")
+        ranges = {}
+        for junction in JUNCTION_COMPONENT:
+            where = f"qat_ranges.{junction}"
+            pair = _get(found, junction, list, where)
+            if len(pair) != 2:
+                raise ValueError(f"{where}: expected [min, max], got {len(pair)} values")
+            lo, hi = (_expect(v, (int, float), where) for v in pair)
+            try:
+                finite = math.isfinite(lo) and math.isfinite(hi)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not (finite and lo <= hi):
+                raise ValueError(f"{where}: expected finite numbers min <= max, got {pair}")
+            ranges[junction] = (float(lo), float(hi))
+        extra = sorted(set(found) - set(JUNCTION_COMPONENT))
+        if extra:
+            raise ValueError(f"qat_ranges.{extra[0]}: unknown junction")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    return ranges
 
 
 def _predict(model, X: np.ndarray) -> np.ndarray:
@@ -337,8 +367,7 @@ def cmd_pipeline(args) -> int:
         stage = "dataset"
         _resolve_target(args)
         dataset = _load_windowed(args, args.n)
-        m = dataset.X.shape[2]
-        config = ModelConfig(seq_len=args.n, input_dim=m, d_model=args.d_model)
+        config = ModelConfig(seq_len=args.n, input_dim=dataset.X.shape[2], d_model=args.d_model)
 
         run_dir = Path(args.out_dir) if args.out_dir else _default_run_dir(args)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -454,8 +483,18 @@ def build_parser() -> _CliArgumentParser:
                         version=f"mixprec {__version__} (kb schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def json_flag(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def data_flags(p, required=True, help=None):
+        p.add_argument("--data", required=required, help=help)
+        p.add_argument("--target", help="target column (default: last column)")
+        p.add_argument("--timestamp", help="timestamp column for gap segmentation")
+        p.add_argument("--test-fraction", type=float, default=0.1)
+
+    def threshold_flags(p):
+        for kind in RESOURCE_ORDER:
+            p.add_argument(f"--t-{kind.value}", required=True)
 
     kb = sub.add_parser("kb", help="knowledge database operations")
     kb_sub = kb.add_subparsers(dest="kb_command", required=True)
@@ -465,13 +504,13 @@ def build_parser() -> _CliArgumentParser:
     p.set_defaults(func=cmd_kb_build)
     p = kb_sub.add_parser("validate", help="check a database file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    json_flag(p)
     p.set_defaults(func=cmd_kb_validate)
     p = kb_sub.add_parser("show", help="print database entries")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--component")
-    p.add_argument("--json", action="store_true")
+    json_flag(p)
     p.set_defaults(func=cmd_kb_show)
 
     p = sub.add_parser("estimate", help="estimate utilization of one combination")
@@ -479,16 +518,13 @@ def build_parser() -> _CliArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--combo", required=True, help="ten comma-separated bitwidths")
     p.add_argument("--overhead", action="store_true", help="include overhead components")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("search", help="threshold + score search over combinations")
     p.add_argument("--kb", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-luts", required=True)
-    p.add_argument("--t-dram", required=True)
-    p.add_argument("--t-bram", required=True)
-    p.add_argument("--t-dsps", required=True)
+    threshold_flags(p)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--combos", help="file with a candidate subset, one combo per line")
     p.add_argument("--overhead", action="store_true")
@@ -496,14 +532,13 @@ def build_parser() -> _CliArgumentParser:
     p.add_argument("--histogram", choices=[k.value for k in RESOURCE_ORDER],
                    help="emit a CSV histogram of the filtered set for this resource")
     p.add_argument("--bins", type=int, default=20)
-    common(p)
+    p.add_argument("--json", action="store_true", help="ignored; kept for scripts that pass it")
     p.set_defaults(func=cmd_search)
 
     def training_flags(p):
-        p.add_argument("--data", required=True)
-        p.add_argument("--target", help="target column (default: last column)")
-        p.add_argument("--timestamp", help="timestamp column for gap segmentation")
-        p.add_argument("--test-fraction", type=float, default=0.1)
+        data_flags(p)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d-model", type=int, default=64)
         p.add_argument("--epochs", type=int, default=100)
         p.add_argument("--patience", type=int, default=10)
         p.add_argument("--batch-size", type=int, default=256)
@@ -512,59 +547,37 @@ def build_parser() -> _CliArgumentParser:
 
     p = sub.add_parser("train", help="train a forecasting model")
     training_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--m", help="feature count; 'auto' derives it from the CSV")
     p.add_argument("--qat", help="bitwidth combination for quantization-aware training")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the per-epoch training report here")
-    common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("quantize", help="quantize a trained float model")
     p.add_argument("--model", required=True)
     p.add_argument("--combo", required=True)
-    p.add_argument("--data", help="CSV for post-training calibration")
-    p.add_argument("--target")
-    p.add_argument("--timestamp")
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    data_flags(p, required=False, help="CSV for post-training calibration")
     p.add_argument("--ranges", help="training report with qat_ranges for QAT calibration")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="RMSE of a model on a dataset's test split")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target")
-    p.add_argument("--timestamp")
-    p.add_argument("--test-fraction", type=float, default=0.1)
-    common(p)
+    data_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="single-step predictions over a dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target")
-    p.add_argument("--timestamp")
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    data_flags(p)
     p.add_argument("--split", choices=["all", "test"], default="test")
     p.add_argument("--out")
-    common(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("pipeline", help="search, then train/quantize/evaluate the top candidates")
     p.add_argument("--kb", required=True)
     training_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--t-luts", required=True)
-    p.add_argument("--t-dram", required=True)
-    p.add_argument("--t-bram", required=True)
-    p.add_argument("--t-dsps", required=True)
+    threshold_flags(p)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--out-dir", help="run directory (default: runs/<timestamp>-<hash>)")
-    common(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

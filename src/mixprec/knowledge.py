@@ -22,6 +22,7 @@ from .components import (
     ComponentId,
     ResourceKind,
 )
+from .model import _expect, _get
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +125,8 @@ class SynthesisReport:
 
 
 _COMPONENT_BY_NAME = {c.value: c for c in ALL_COMPONENTS}
+_KIND_BY_NAME = {k.value: k for k in RESOURCE_ORDER}
+_BITWIDTH_BY_NAME = {str(b): b for b in VALID_BITWIDTHS}
 _REPORT_HEADER = ["component", "luts", "dram", "bram", "dsps"]
 
 
@@ -287,59 +290,64 @@ def save(db: KnowledgeDatabase, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
-def _load_doc(doc: dict, origin: str) -> KnowledgeDatabase:
-    if not isinstance(doc, dict):
-        raise DatabaseFormatError(f"{origin}: top level must be an object")
+def _only(doc: dict, keys: dict, where: str) -> dict:
+    """``doc``, refused when it holds more keys than ``keys``. A stray key in
+    a ``doc`` no longer than ``keys`` displaces one of them, and the caller's
+    ``_get`` names that one as missing."""
+    if len(doc) > len(keys):
+        raise ValueError(f"{where}.{min(doc.keys() - keys.keys())}: unexpected")
+    return doc
+
+
+def _database_from_doc(doc) -> KnowledgeDatabase:
+    """The database a ``save`` document describes, each field checked where
+    it is read."""
+    _expect(doc, dict, "top level")
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
-        raise DatabaseFormatError(
-            f"{origin}: schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
-        )
-    for field_name in ("seq_lens", "entries"):
-        if field_name not in doc:
-            raise DatabaseFormatError(f"{origin}: missing field {field_name!r}")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"schema version {version!r} unsupported (expected {SCHEMA_VERSION})")
+    declared = [_expect(n, int, "seq_lens") for n in _get(doc, "seq_lens", list, "seq_lens")]
+    if len(set(declared)) != len(declared):
+        raise ValueError(f"seq_lens: {declared} lists a length twice")
+    metadata = _expect(doc.get("metadata", {}), dict, "metadata")
 
     entries: dict[EntryKey, Decimal] = {}
     seq_lens = []
-    for n_str, comp_map in doc["entries"].items():
-        try:
-            n = int(n_str)
-        except ValueError as e:
-            raise DatabaseFormatError(f"{origin}: entries.{n_str}: bad seq_len") from e
+    for n_str, comp_map in _get(doc, "entries", dict, "entries").items():
+        where = f"entries.{n_str}"
+        n = int(n_str) if n_str.isdigit() else 0
+        if n <= 0 or str(n) != n_str:
+            raise ValueError(f"{where}: bad seq_len")
         seq_lens.append(n)
-        for comp in ALL_COMPONENTS:
-            if comp.value not in comp_map:
-                raise DatabaseFormatError(f"{origin}: entries.{n_str}.{comp.value}: missing")
-            kind_map = comp_map[comp.value]
-            for kind in RESOURCE_ORDER:
-                if kind.value not in kind_map:
-                    raise DatabaseFormatError(
-                        f"{origin}: entries.{n_str}.{comp.value}.{kind.value}: missing"
-                    )
-                bw_map = kind_map[kind.value]
-                for b in VALID_BITWIDTHS:
-                    raw = bw_map.get(str(b))
-                    if raw is None:
-                        raise DatabaseFormatError(
-                            f"{origin}: entries.{n_str}.{comp.value}.{kind.value}.{b}: missing"
-                        )
+        _only(_expect(comp_map, dict, where), _COMPONENT_BY_NAME, where)
+        for comp_key, comp in _COMPONENT_BY_NAME.items():
+            comp_where = f"{where}.{comp_key}"
+            kind_map = _only(_get(comp_map, comp_key, dict, comp_where), _KIND_BY_NAME, comp_where)
+            for kind_key, kind in _KIND_BY_NAME.items():
+                kind_where = f"{comp_where}.{kind_key}"
+                bw_map = _only(_get(kind_map, kind_key, dict, kind_where), _BITWIDTH_BY_NAME,
+                               kind_where)
+                for b_key, b in _BITWIDTH_BY_NAME.items():
+                    raw = bw_map.get(b_key)
+                    if type(raw) is not str:  # _get names the field; 468 leaves a load
+                        _get(bw_map, b_key, str, f"{kind_where}.{b_key}")
                     try:
-                        value = Decimal(raw)
+                        entries[(n, comp, kind, b)] = Decimal(raw)
                     except InvalidOperation as e:
-                        raise DatabaseFormatError(
-                            f"{origin}: entries.{n_str}.{comp.value}.{kind.value}.{b}: "
-                            f"bad decimal {raw!r}"
-                        ) from e
-                    entries[(n, comp, kind, b)] = value
+                        raise ValueError(f"{kind_where}.{b_key}: bad decimal {raw!r}") from e
 
-    declared = set(doc["seq_lens"])
-    if declared != set(seq_lens):
-        raise DatabaseFormatError(
-            f"{origin}: seq_lens {sorted(declared)} disagree with entries {sorted(seq_lens)}"
+    if set(declared) != set(seq_lens):
+        raise ValueError(
+            f"seq_lens {sorted(declared)} disagree with entries {sorted(seq_lens)}"
         )
-    return KnowledgeDatabase(
-        entries=entries, seq_lens=frozenset(seq_lens), metadata=doc.get("metadata", {})
-    )
+    return KnowledgeDatabase(entries=entries, seq_lens=frozenset(seq_lens), metadata=metadata)
+
+
+def _load_doc(doc, origin: str) -> KnowledgeDatabase:
+    try:
+        return _database_from_doc(doc)
+    except ValueError as e:
+        raise DatabaseFormatError(f"{origin}: {e}") from e
 
 
 def load(path: str | Path) -> KnowledgeDatabase:
@@ -347,7 +355,7 @@ def load(path: str | Path) -> KnowledgeDatabase:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also undecodable bytes
         raise DatabaseFormatError(f"{path}: not valid JSON ({e})") from e
     return _load_doc(doc, str(path))
 

@@ -532,10 +532,7 @@ class _FakeEngine(Dataflow):
     """The float dataflow with grid snapping at every junction and weight.
 
     ``provider(junction, value)`` returns the junction's QuantParams (and may
-    observe ``value`` to update running ranges during QAT). In surrogate mode
-    rounding is disabled while the clamp structure (and masks) remain; the
-    result is the differentiable function the straight-through gradient is
-    exact for.
+    observe ``value`` to update running ranges during QAT).
 
     An engine reads the model's tensors once: their grids are fixed at
     construction and each tensor is snapped once per grid, however many
@@ -543,16 +540,9 @@ class _FakeEngine(Dataflow):
     since the parameters move between steps.
     """
 
-    def __init__(
-        self,
-        model: FloatModel,
-        combo: BitwidthCombination,
-        provider,
-        surrogate: bool = False,
-    ):
+    def __init__(self, model: FloatModel, combo: BitwidthCombination, provider):
         super().__init__(model)
         self.provider = provider
-        self.surrogate = surrogate
         self.weight_params = _weight_params(model, combo)
         # mask key -> (grid, snapped tensor, mask)
         self._tensors: dict[str, tuple[QuantParams, np.ndarray, np.ndarray]] = {}
@@ -564,12 +554,7 @@ class _FakeEngine(Dataflow):
         # every interpretation: gradients agree exactly across them, and only
         # its summed (batch, seq_len) weight gradients differ from an einsum
         # reference, in the last places
-        if self.surrogate:
-            lo, hi = params.real_range()
-            inside = (value >= lo) & (value <= hi)
-            out = np.clip(value, lo, hi)
-        else:
-            out, inside = fake_quantize(value, params)
+        out, inside = fake_quantize(value, params)
         self.masks[mask_key] = inside
         return out
 
@@ -613,7 +598,7 @@ class _FakeEngine(Dataflow):
         return np.clip(total, lo, hi)
 
     def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "train" or self.surrogate:
+        if mode == "train":
             return super().softmax(s, mode)
         # the integer softmax of the integer scores, so the eval forward
         # equals the integer engine bit for bit
@@ -638,18 +623,15 @@ class _FakeEngine(Dataflow):
 
 def forward_fake_quant(
     model: FloatModel,
-    combo: BitwidthCombination | None,
+    combo: BitwidthCombination,
     calib: CalibrationSet | None,
     X: np.ndarray,
 ) -> np.ndarray:
     """Float arithmetic with quantize-dequantize at every junction and weight.
 
     The softmax is the integer path's, on the integer scores, so the output
-    equals ``forward_integer``'s bit for bit. With ``combo`` None the
-    simulation is disabled and this equals the plain float forward exactly.
+    equals ``forward_integer``'s bit for bit.
     """
-    if combo is None:
-        return Dataflow(model).predict(X)
     if calib is None:
         raise CalibrationError("fake-quant forward requires calibration parameters")
     return _FakeEngine(model, combo, lambda junction, _: calib.require(junction)).predict(X)
@@ -673,7 +655,7 @@ class _EmaProvider:
                 ctx.ranges[junction] = (mn, mx)
             else:
                 omn, omx = ctx.ranges[junction]
-                decay = ctx.ema_decay
+                decay = training.QAT_EMA_DECAY
                 ctx.ranges[junction] = (
                     decay * omn + (1 - decay) * mn,
                     decay * omx + (1 - decay) * mx,
@@ -688,32 +670,17 @@ class QatContext:
     """Drives fake-quantized forwards and straight-through backwards during
     training, tracking activation ranges by exponential moving average."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        combo: BitwidthCombination,
-        ema_decay: float = 0.99,
-        surrogate: bool = False,
-    ):
-        if not 0 < ema_decay < 1:
-            raise ValueError("ema_decay must be in (0, 1)")
+    def __init__(self, config: ModelConfig, combo: BitwidthCombination):
         _assert_accumulator_bound(config, combo)
         self.combo = combo
-        self.ema_decay = ema_decay
-        self.surrogate = surrogate
         self.ranges: dict[str, tuple[float, float]] = {}
 
     def forward_train(self, model: FloatModel, X: np.ndarray) -> tuple[np.ndarray, dict]:
-        engine = _FakeEngine(
-            model, self.combo, _EmaProvider(self, observe=True), surrogate=self.surrogate
-        )
+        engine = _FakeEngine(model, self.combo, _EmaProvider(self, observe=True))
         return engine.run(X, mode="train")
 
     def forward_eval(self, model: FloatModel, X: np.ndarray) -> np.ndarray:
-        engine = _FakeEngine(
-            model, self.combo, _EmaProvider(self, observe=False), surrogate=self.surrogate
-        )
-        return engine.predict(X)
+        return _FakeEngine(model, self.combo, _EmaProvider(self, observe=False)).predict(X)
 
     def backward(self, model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
         return training.backward(model, cache, dY)

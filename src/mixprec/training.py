@@ -16,34 +16,37 @@ from .components import BitwidthCombination
 from .model import BATCH_NORMS, Dataflow, FloatModel, forward_float, trainable_tensors
 
 
+# Fixed by the method, not per run: Adam's moments and epsilon, the halving
+# period of the learning rate, the validation share of the training pairs, and
+# the decay of QAT's moving activation ranges.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+LR_HALVING_PERIOD_EPOCHS = 3
+VAL_FRACTION = 0.1
+QAT_EMA_DECAY = 0.99
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
     patience: int = 10
     batch_size: int = 256
     lr: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
-    lr_halving_period_epochs: int = 3
     seed: int = 0
-    val_fraction: float = 0.1
     qat: BitwidthCombination | None = None
-    qat_ema_decay: float = 0.99
 
     def __post_init__(self) -> None:
-        if min(self.epochs, self.patience, self.batch_size, self.lr_halving_period_epochs) <= 0:
-            raise ValueError("epochs, patience, batch_size, halving period must be positive")
-        if self.lr <= 0 or self.adam_eps <= 0:
-            raise ValueError("lr and adam_eps must be positive")
+        if min(self.epochs, self.patience, self.batch_size) <= 0:
+            raise ValueError("epochs, patience and batch_size must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if self.patience > self.epochs:
             raise ValueError("patience must not exceed epochs")
-        if not 0 < self.val_fraction < 1:
-            raise ValueError("val_fraction must be in (0, 1)")
 
     def lr_at(self, epoch: int) -> float:
         """Step-decayed rate for a zero-based epoch index."""
-        return self.lr * 2.0 ** (-(epoch // self.lr_halving_period_epochs))
+        return self.lr * 2.0 ** (-(epoch // LR_HALVING_PERIOD_EPOCHS))
 
 
 @dataclass
@@ -100,7 +103,7 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     table's gradient is computed too (it is simply excluded from optimizer
     updates).
 
-    Every interpretation (float, fake-quant, QAT surrogate) runs this one
+    Every interpretation (float and fake-quant) runs this one
     function, so a given cache gets the same gradient bits whichever forward
     recorded it. Each weight gradient is one BLAS matmul over all batch *
     seq_len rows; for the seven linears with (batch, seq_len, features)
@@ -195,38 +198,36 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
 class Adam:
     """Standard Adam with bias correction over named tensors."""
 
-    def __init__(self, names: list[str], cfg: TrainConfig):
+    def __init__(self, names: list[str]):
         self.names = names
-        self.cfg = cfg
         self.m = {name: None for name in names}
         self.v = {name: None for name in names}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
-        cfg = self.cfg
         self.t += 1
-        b1c = 1.0 - cfg.adam_beta1**self.t
-        b2c = 1.0 - cfg.adam_beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name in self.names:
             grad = grads[name]
             if self.m[name] is None:
                 self.m[name] = np.zeros_like(grad)
                 self.v[name] = np.zeros_like(grad)
-            self.m[name] = cfg.adam_beta1 * self.m[name] + (1 - cfg.adam_beta1) * grad
-            self.v[name] = cfg.adam_beta2 * self.v[name] + (1 - cfg.adam_beta2) * grad**2
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * grad
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * grad**2
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
-            params[name] -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def _split_validation(X: np.ndarray, y: np.ndarray, cfg: TrainConfig):
-    """Last val_fraction of the training pairs, time-ordered."""
+def _split_validation(X: np.ndarray, y: np.ndarray):
+    """Last VAL_FRACTION of the training pairs, time-ordered."""
     count = len(X)
-    val_count = max(1, int(round(count * cfg.val_fraction)))
+    val_count = max(1, int(round(count * VAL_FRACTION)))
     if val_count >= count:
         raise ValueError("not enough pairs to carve a validation split")
     fit = count - val_count
@@ -275,10 +276,10 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
             f"dataset windows {X_all.shape[1:]} do not match model config "
             f"({model.config.seq_len}, {model.config.input_dim})"
         )
-    X_fit, y_fit, X_val, y_val = _split_validation(X_all, y_all, cfg)
+    X_fit, y_fit, X_val, y_val = _split_validation(X_all, y_all)
 
     model = model.copy()
-    opt = Adam(trainable_tensors(model.config), cfg)
+    opt = Adam(trainable_tensors(model.config))
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
 
@@ -333,17 +334,14 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
 
 
 def train_qat(model: FloatModel, dataset, cfg: TrainConfig):
-    """Quantization-aware training with straight-through gradients.
+    """Quantization-aware training at ``cfg.qat`` with straight-through gradients.
 
-    With ``cfg.qat`` unset this reproduces plain training bit for bit.
     Returns (model, report, frozen activation ranges) where the ranges are
     the EMA-tracked per-junction (min, max) pairs for final calibration.
     """
     if cfg.qat is None:
-        ctx = _FloatContext()
-    else:
-        from .quantized import QatContext
+        raise ValueError("train_qat needs cfg.qat, the bitwidth combination to train at")
+    from .quantized import QatContext
 
-        ctx = QatContext(model.config, cfg.qat, ema_decay=cfg.qat_ema_decay)
-    trained, report, ctx = _train_loop(model, dataset, cfg, ctx)
+    trained, report, ctx = _train_loop(model, dataset, cfg, QatContext(model.config, cfg.qat))
     return trained, report, ctx.snapshot_ranges()

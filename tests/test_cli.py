@@ -16,7 +16,7 @@ from mixprec.cli import USAGE_ERROR, _emit, run
 from mixprec.components import ALL_COMPONENTS
 from mixprec.data import make_synthetic
 from mixprec.knowledge import bundled_database, load, save
-from mixprec.model import load_model, save_model
+from mixprec.model import JUNCTION_COMPONENT, ModelConfig, init, load_model, save_model
 from mixprec.search import Thresholds, search
 
 
@@ -63,13 +63,33 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["search", "--t-luts", "80", "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100",
-         "--threads", "2"],
-        ["estimate", "--combo", "4,4,4,4,4,4,4,4,4,4", "--seed", "1"],
+        ["search", "--threads", "2"],
+        ["estimate", "--seed", "1"],
+        ["train", "--m", "3"],
+        ["train", "--json"],
+        ["quantize", "--json"],
+        ["eval", "--json"],
+        ["infer", "--json"],
+        ["pipeline", "--json"],
     ])
-    def test_options_a_command_does_not_read_are_usage_errors(self, kb_path, argv, capsys):
-        assert run([*argv[:1], "--kb", kb_path, "--n", "12", *argv[1:]]) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+    def test_options_a_command_does_not_read_are_usage_errors(
+        self, kb_path, data_path, argv, capsys
+    ):
+        thresholds = ["--t-luts", "80", "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"]
+        combo = ["--combo", "8,8,8,8,8,8,8,8,8,8"]
+        # every required option of the command, so the one refused is the flag under test
+        required = {
+            "search": ["--kb", kb_path, "--n", "12", *thresholds],
+            "estimate": ["--kb", kb_path, "--n", "12", *combo],
+            "train": ["--data", data_path, "--n", "8", "--out", "m.json"],
+            "quantize": ["--model", "m.json", *combo, "--out", "q.json"],
+            "eval": ["--model", "m.json", "--data", data_path],
+            "infer": ["--model", "m.json", "--data", data_path],
+            "pipeline": ["--kb", kb_path, "--data", data_path, "--n", "12", *thresholds],
+        }
+        assert run([argv[0], *required[argv[0]], *argv[1:]]) == USAGE_ERROR
+        err = capsys.readouterr().err.strip()
+        assert err.endswith(f"unrecognized arguments: {' '.join(argv[1:])}")
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0
@@ -134,6 +154,27 @@ class TestKb:
         reports.mkdir()
         (reports / "bad.csv").write_text("# n=12 b=4\ncomponent,luts,dram,bram,dsps\nmha,1,1,1\n")
         assert run(["kb", "build", "--reports", str(reports), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda doc: doc.update(entries=[]), "entries: expected an object, got an array"),
+        (lambda doc: doc["entries"]["12"]["mha"].update(luts=["1.0", "2.0", "3.0"]),
+         "entries.12.mha.luts: expected an object, got an array"),
+        (lambda doc: doc.update(seq_lens=12), "seq_lens: expected an array, got an integer"),
+        (lambda doc: doc.update(seq_lens=[12, 12, 18, 24]),
+         "seq_lens: [12, 12, 18, 24] lists a length twice"),
+        (lambda doc: doc["entries"]["12"]["mha"]["luts"].update({"4": 0.1}),
+         "entries.12.mha.luts.4: expected a string, got a number"),
+        (lambda doc: doc["entries"]["12"]["mha"]["luts"].update({"5": "1.0"}),
+         "entries.12.mha.luts.5: unexpected"),
+    ], ids=["entries-array", "resource-array", "seq-lens-integer", "seq-lens-duplicate",
+            "number-for-decimal", "extra-bitwidth"])
+    def test_malformed_database_field_is_named(self, kb_path, tmp_path, capsys, mutate, named):
+        doc = json.loads(Path(kb_path).read_text())
+        mutate(doc)
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc))
+        assert run(["kb", "validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
 
 
 class TestEstimateAndSearch:
@@ -263,10 +304,6 @@ class TestModelCommands:
         assert run(self.train_args(data_path, b)) == 0
         assert json.loads(a.read_text())["tensors"] == json.loads(b.read_text())["tensors"]
 
-    def test_m_flag_validation(self, data_path, tmp_path, capsys):
-        code = run(self.train_args(data_path, tmp_path / "m.json", extra=["--m", "7"]))
-        assert code == 2
-
     def test_quantize_and_infer(self, data_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         report = tmp_path / "report.json"
@@ -354,6 +391,39 @@ class TestModelCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{model}: tensor 'ffn.w1.weight': non-finite values" in captured.err
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda doc: None, None),
+        (lambda doc: doc.update(qat_ranges=[]), "qat_ranges: expected an object, got an array"),
+        (lambda doc: doc["qat_ranges"].update({"mha.q": 1.5}),
+         "qat_ranges.mha.q: expected an array, got a number"),
+        (lambda doc: doc["qat_ranges"].update({"mha.q": ["-1", "1"]}),
+         "qat_ranges.mha.q: expected a number, got a string"),
+        (lambda doc: doc["qat_ranges"].update({"mha.q": [-1.0, 0.0, 1.0]}),
+         "qat_ranges.mha.q: expected [min, max], got 3 values"),
+        (lambda doc: doc["qat_ranges"].update({"mha.q": [1.0, -1.0]}),
+         "qat_ranges.mha.q: expected finite numbers min <= max, got [1.0, -1.0]"),
+        (lambda doc: doc["qat_ranges"].update({"mha.q": [-1.0, 10**400]}),
+         "qat_ranges.mha.q: expected finite numbers min <= max"),
+        (lambda doc: doc["qat_ranges"].pop("mha.q"), "qat_ranges.mha.q: missing"),
+        (lambda doc: doc["qat_ranges"].update({"mha.x": [-1.0, 1.0]}),
+         "qat_ranges.mha.x: unknown junction"),
+    ], ids=["valid", "ranges-array", "range-number", "range-strings", "three-values",
+            "min-above-max", "beyond-float", "missing-junction", "unknown-junction"])
+    def test_malformed_ranges_field_is_named(self, tmp_path, capsys, mutate, named):
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(init(ModelConfig(seq_len=8, input_dim=3, d_model=8), 0), model)
+        doc = {"qat_ranges": {junction: [-1.0, 1.0] for junction in JUNCTION_COMPONENT}}
+        mutate(doc)
+        report.write_text(json.dumps(doc))
+        code = run(["quantize", "--model", str(model), "--combo", "8,8,8,8,8,8,8,8,8,8",
+                    "--ranges", str(report), "--out", str(tmp_path / "q.json")])
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert err.startswith(f"error: {report}: {named}")
 
     def test_json_on_stdout_never_holds_nan(self, capsys):
         with pytest.raises(ValueError):

@@ -197,13 +197,6 @@ class TestCrossPathConsistency:
         scale = qm.act_params["output"].scale
         assert abs(out[0] - 0.37) <= scale
 
-    def test_fake_quant_disabled_equals_float(self, setup):
-        model, _ = setup
-        X = np.random.default_rng(5).normal(size=(8, 3))
-        assert np.array_equal(
-            forward_fake_quant(model, None, None, X), forward_float(model, X)[0]
-        )
-
     def test_input_grid_mismatch_rejected(self, setup):
         model, data = setup
         qm = quantize_model(model, BitwidthCombination.uniform(8), calibration_data=data)
@@ -303,15 +296,9 @@ class TestQat:
 
         return DS(X, y)
 
-    def test_degenerate_qat_is_plain_training(self):
-        ds = self.toy()
-        cfg = TrainConfig(epochs=4, patience=4, batch_size=64, seed=3)
-        plain, plain_rep = train(init(CFG, 1), ds, cfg)
-        qat, qat_rep, ranges = train_qat(init(CFG, 1), ds, cfg)
-        assert ranges is None
-        assert qat_rep.train_losses == plain_rep.train_losses
-        for name in plain.params:
-            assert np.array_equal(plain.params[name], qat.params[name])
+    def test_qat_needs_a_combination(self):
+        with pytest.raises(ValueError, match="cfg.qat"):
+            train_qat(init(CFG, 1), self.toy(), TrainConfig(epochs=1, patience=1))
 
     def test_qat_8bit_val_loss_near_float(self):
         ds = self.toy(pairs=600, seed=1)
@@ -334,20 +321,32 @@ class TestQat:
         assert np.all(np.isfinite(out))
 
 
+class _SurrogateEngine(_FakeEngine):
+    """The fake-quant training forward with rounding left out: each snap only
+    clips to its grid's range and records the same mask. That is the
+    differentiable function the straight-through gradient is exact for."""
+
+    def _snap(self, value, params, mask_key):
+        lo, hi = params.real_range()
+        self.masks[mask_key] = (value >= lo) & (value <= hi)
+        return np.clip(value, lo, hi)
+
+
 class TestSteGradients:
     def test_matches_surrogate_finite_differences(self):
         cfg = ModelConfig(seq_len=4, input_dim=2, d_model=4)
         model = make_model(cfg, 1, spread=0.3)
-        ctx = QatContext(cfg, BitwidthCombination.uniform(8), surrogate=True)
+        ctx = QatContext(cfg, BitwidthCombination.uniform(8))
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 4, 2))
         y = rng.normal(size=(6, 1))
-        ctx.forward_train(model.copy(), X)  # populate ranges
+        # populate ranges
+        _SurrogateEngine(model.copy(), ctx.combo, _EmaProvider(ctx, observe=True)).run(X, "train")
 
         from mixprec.quantized import _weight_params
 
         def run_at(m):
-            engine = _FakeEngine(m, ctx.combo, _EmaProvider(ctx, observe=False), surrogate=True)
+            engine = _SurrogateEngine(m, ctx.combo, _EmaProvider(ctx, observe=False))
             Y, cache = engine.run(X, "train")
             fingerprint = np.concatenate(
                 [np.asarray(v).ravel() for _, v in sorted(cache["masks"].items())]

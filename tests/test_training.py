@@ -13,7 +13,16 @@ import pytest
 from mixprec.components import BitwidthCombination
 from mixprec.data import ingest, window
 from mixprec.model import FloatModel, ModelConfig, forward_float, init, trainable_tensors
-from mixprec.training import Adam, TrainConfig, TrainReport, backward, mse, train, train_qat
+from mixprec.training import (
+    ADAM_EPS,
+    Adam,
+    TrainConfig,
+    TrainReport,
+    backward,
+    mse,
+    train,
+    train_qat,
+)
 
 TINY = ModelConfig(seq_len=4, input_dim=2, d_model=4)
 
@@ -172,7 +181,7 @@ class TestTrain:
 
         X = dataset.train_X
         y = dataset.train_y.reshape(-1, 1)
-        _, _, X_val, y_val = _split_validation(X, y, cfg)
+        _, _, X_val, y_val = _split_validation(X, y)
         pred, _ = forward_float(trained, X_val)
         assert mse(pred, y_val) == pytest.approx(report.best_val_loss, rel=1e-9)
         assert report.best_val_loss == min(report.val_losses)
@@ -201,14 +210,13 @@ class TestTrain:
 
 class TestAdam:
     def test_single_step_matches_formula(self):
-        cfg = TrainConfig(seed=0)
-        opt = Adam(["w"], cfg)
+        opt = Adam(["w"])
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([0.5])}
         opt.step(params, grads, lr=0.001)
         m_hat = 0.5  # m = (1-b1)*g, corrected by (1-b1)
         v_hat = 0.25
-        expected = 1.0 - 0.001 * m_hat / (math.sqrt(v_hat) + cfg.adam_eps)
+        expected = 1.0 - 0.001 * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
         assert params["w"][0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -331,7 +339,7 @@ class TestTrainingMemory:
         cfg = TrainConfig(epochs=1, patience=1, seed=42, qat=qat)
         tracemalloc.start()
         try:
-            train_qat(model, bundled, cfg)
+            (train if qat is None else train_qat)(model, bundled, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
