@@ -8,14 +8,17 @@ or for inherently structured commands); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+import threading
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -52,11 +55,12 @@ from .model import (
     _get,
     init,
     load_model,
+    read_utf8,
     save_model,
 )
 from .quantized import CalibrationError, forward_integer, quantize_model
 from .search import Thresholds, parse_candidate_file, search
-from .training import TrainConfig, train, train_qat
+from .training import TrainConfig, train, train_qat, training_steps
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 1, 2, 3
 
@@ -99,8 +103,7 @@ def _load_windowed(args, seq_len: int):
 def _resolve_target(args) -> None:
     # default target: last CSV column
     if args.target is None:
-        with open(args.data, newline="") as fh:
-            header = next(csv.reader(fh), [])
+        header = next(csv.reader(io.StringIO(read_utf8(args.data))), [])
         columns = [h.strip() for h in header if h.strip() != args.timestamp]
         if not columns:
             raise ValueError(f"{args.data}: the CSV header names no data column")
@@ -118,7 +121,7 @@ def cmd_kb_build(args) -> int:
     reports = []
     for f in files:
         try:
-            reports.append(parse_report(f.read_text()))
+            reports.append(parse_report(read_utf8(f)))
         except ReportError as e:
             raise ReportError(f"{f}: {e}") from e
     db = aggregate(reports, source=f"aggregated from {len(files)} report files in {report_dir}")
@@ -374,51 +377,46 @@ def cmd_pipeline(args) -> int:
 
         stage = "float-baseline"
         cfg = _train_config(args)
-        # independent seeded trainings, the longer QAT jobs first; each owns
-        # its model, RNG and statistics and only reads the dataset
+        # independent seeded trainings that take turns step by step; each
+        # owns its model, RNG and statistics and only reads the dataset
         jobs = {
-            f"candidate-{rank}": functools.partial(
-                _train_candidate, init(config, args.seed), dataset,
-                dataclasses.replace(cfg, qat=cand.combo),
+            f"candidate-{rank}": _candidate_steps(
+                init(config, args.seed), dataset, dataclasses.replace(cfg, qat=cand.combo)
             )
             for rank, cand in enumerate(result.selected)
         }
-        jobs["float-baseline"] = functools.partial(train, init(config, args.seed), dataset, cfg)
-        from concurrent.futures import ThreadPoolExecutor
+        jobs["float-baseline"] = training_steps(init(config, args.seed), dataset, cfg)
+        results, failure = _interleave(jobs, _training_workers(len(jobs)))
+        if failure is not None:
+            stage, error = failure
+            raise error
 
-        pool = ThreadPoolExecutor(_training_workers(len(jobs)))
-        try:
-            futures = {name: pool.submit(job) for name, job in jobs.items()}
-            # collected in a fixed order, so every file and RMSE is the same
-            # however the jobs were scheduled
-            stage = "float-baseline"
-            float_model, float_report = futures[stage].result()
-            save_model(float_model, run_dir / "float_model.json")
-            float_pred = _predict(float_model, dataset.test_X)
-            float_rmse = rmse(float_pred, dataset.test_y, dataset)
+        # collected in a fixed order, so every file and RMSE is the same
+        # however the steps were scheduled
+        stage = "float-baseline"
+        float_model = results[stage][0]
+        save_model(float_model, run_dir / "float_model.json")
+        float_pred = _predict(float_model, dataset.test_X)
+        float_rmse = rmse(float_pred, dataset.test_y, dataset)
 
-            entries = []
-            for rank, cand in enumerate(result.selected):
-                stage = f"candidate-{rank}"
-                qm, qat_report = futures[stage].result()
-                model_path = run_dir / f"candidate_{rank}.json"
-                save_model(qm, model_path)
-                pred = _predict(qm, dataset.test_X)
-                value = rmse(pred, dataset.test_y, dataset)
-                entries.append(
-                    {
-                        "combo": list(cand.combo.bits),
-                        "score": cand.score,
-                        "estimate": cand.estimate.to_dict(),
-                        "rmse": value,
-                        "best_val_loss": qat_report.best_val_loss,
-                        "model_file": model_path.name,
-                    }
-                )
-        finally:
-            # after a failed stage the jobs not yet started are dropped and
-            # the running ones finish: no thread outlives the command
-            pool.shutdown(cancel_futures=True)
+        entries = []
+        for rank, cand in enumerate(result.selected):
+            stage = f"candidate-{rank}"
+            qm, qat_report = results[stage]
+            model_path = run_dir / f"candidate_{rank}.json"
+            save_model(qm, model_path)
+            pred = _predict(qm, dataset.test_X)
+            value = rmse(pred, dataset.test_y, dataset)
+            entries.append(
+                {
+                    "combo": list(cand.combo.bits),
+                    "score": cand.score,
+                    "estimate": cand.estimate.to_dict(),
+                    "rmse": value,
+                    "best_val_loss": qat_report.best_val_loss,
+                    "model_file": model_path.name,
+                }
+            )
 
         stage = "report"
         report = {
@@ -448,10 +446,65 @@ def cmd_pipeline(args) -> int:
         raise ValueError(f"pipeline stage {stage!r} failed: {e}") from e
 
 
-def _train_candidate(model: FloatModel, dataset, cfg: TrainConfig):
-    """QAT at ``cfg.qat``, then quantization with the frozen ranges."""
-    trained, report, ranges = train_qat(model, dataset, cfg)
+def _candidate_steps(model: FloatModel, dataset, cfg: TrainConfig):
+    """QAT at ``cfg.qat`` a step at a time, then quantization with the
+    frozen ranges; returns (quantized model, report)."""
+    trained, report, ranges = yield from training_steps(model, dataset, cfg)
     return quantize_model(trained, cfg.qat, ranges=ranges), report
+
+
+def _interleave(jobs: dict, workers: int) -> tuple[dict, tuple | None]:
+    """Run every job's generator to its end, a step at a time.
+
+    ``workers`` threads, the calling one among them, take (name, generator)
+    pairs from one FIFO queue, advance the pair by one step and put it back,
+    so each job keeps moving and no CPU idles while a job is left. The first
+    failure stops new steps from being handed out; once every thread has
+    finished its step, the unfinished generators are closed. Returns each
+    finished job's return value by name, and the first failure as (name,
+    exception) or None.
+    """
+    queue = collections.deque(jobs.items())
+    results, failures = {}, []
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                if stop.is_set() or not queue:
+                    return
+                name, steps = queue.popleft()
+            try:
+                next(steps)
+            except StopIteration as done:
+                results[name] = done.value
+                continue
+            except BaseException as e:  # raised again in the calling thread
+                with lock:
+                    failures.append((name, e))
+                    stop.set()
+                return
+            with lock:
+                queue.append((name, steps))
+
+    # the calling thread is one of the workers: its malloc arena already
+    # holds the process's heap, and each further thread adds an arena
+    threads = [threading.Thread(target=work, name=f"training-{i}") for i in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()  # after an interrupt here, the running steps finish
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        for steps in jobs.values():
+            steps.close()
+    return results, (failures[0] if failures else None)
 
 
 def _training_workers(jobs: int) -> int:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import read_utf8
+
 GAP_FACTOR = 1.5
 
 
@@ -178,7 +180,7 @@ def ingest(
     in one call, with Python's ``float`` rules, and segments them.
     """
     if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
-        text = Path(source).read_text()
+        text = read_utf8(source)
     else:
         text = source
     reader = csv.reader(io.StringIO(text))

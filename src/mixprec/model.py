@@ -468,6 +468,17 @@ def _get(doc: dict, key: str, kind, where: str):
     return _expect(doc[key], kind, where)
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of the file at ``path``; a file that is not UTF-8 raises
+    ValueError naming the path and the first undecodable byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(
+            f"{path}: not UTF-8 text (byte 0x{e.object[e.start]:02x} at position {e.start})"
+        ) from None
+
+
 def _decode_array(entry, where: str, dtype: str) -> np.ndarray:
     """A tensor entry as ``_encode_array`` writes it, of the given dtype."""
     _expect(entry, dict, where)

@@ -34,6 +34,7 @@ from .components import (
 )
 from .estimator import EstimateOptions
 from .knowledge import KnowledgeDatabase, ResourceVector
+from .model import read_utf8
 
 _BASE = len(VALID_BITWIDTHS)
 _LUTS = RESOURCE_ORDER.index(ResourceKind.LUTS)
@@ -352,7 +353,7 @@ def parse_candidate_file(path: str | Path) -> CandidateSet:
     A file of plain ``d,d,...,d`` lines goes straight from its bytes to row
     numbers; any other goes line by line, which also names a bad line.
     """
-    text = Path(path).read_text()
+    text = read_utf8(path)
     if _PLAIN_LINES.fullmatch(text):
         chars = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 2 * NUM_KEY_COMPONENTS)
         bits = chars[:, ::2] - ord("0")

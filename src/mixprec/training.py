@@ -7,7 +7,9 @@ the config seed.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,7 +245,67 @@ def train(
     normalized units; the final 10% (time-ordered) is held out for early
     stopping.
     """
-    return _train_loop(model, dataset, cfg, _FloatContext())[:2]
+    _keep_heap()
+    return _run_to_end(_train_loop(model, dataset, cfg, _FloatContext()))[:2]
+
+
+def training_steps(model: FloatModel, dataset, cfg: TrainConfig) -> Generator[None, None, tuple]:
+    """``train``, or ``train_qat`` where ``cfg.qat`` is set, one optimizer
+    step per ``next()``.
+
+    The generator yields after each step, once that step's intermediates
+    and gradients are freed, so several trainings can take turns on a few
+    threads. It returns (model, report, ranges): the frozen activation ranges
+    of QAT, None for float training.
+    """
+    _keep_heap()
+    if cfg.qat is None:
+        return _train_loop(model, dataset, cfg, _FloatContext())
+    from .quantized import QatContext
+
+    return _train_loop(model, dataset, cfg, QatContext(model.config, cfg.qat))
+
+
+def _run_to_end(steps: Generator[None, None, tuple]) -> tuple:
+    """The return value of a step generator run to its end."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+# glibc's mallopt parameters (malloc.h) and the values training sets: blocks
+# up to 32 MiB come from the heap, not from their own mmap, and the heap is
+# trimmed only above 1 GiB free at its top
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep each malloc arena at its high-water mark, once per process.
+
+    A training step frees some 40 MB of intermediates at d_model 64; by
+    default glibc hands those pages back to the kernel at the end of the step
+    and faults them in again at the next. Setting the trim threshold alone
+    disables glibc's dynamic mmap threshold, so large arrays would get their
+    own mmap each, which faults far more: both values are set. Where libc
+    has no ``mallopt`` this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except TypeError:  # Windows opens no library by the name None
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class _FloatContext:
@@ -266,9 +328,11 @@ class _FloatContext:
 
 
 def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
-    """Shared float/QAT loop. ``ctx`` runs the forward and backward passes:
-    a ``_FloatContext`` for plain training, or a quantized.QatContext for
-    fake-quantized forwards that track activation ranges."""
+    """Shared float/QAT loop, a generator that yields after each optimizer
+    step and returns (model, report, ranges). ``ctx`` runs the forward and
+    backward passes: a ``_FloatContext`` for plain training, or a
+    quantized.QatContext for fake-quantized forwards that track activation
+    ranges."""
     X_all = np.asarray(dataset.train_X, dtype=np.float64)
     y_all = np.asarray(dataset.train_y, dtype=np.float64).reshape(len(X_all), -1)
     if X_all.shape[1:] != (model.config.seq_len, model.config.input_dim):
@@ -304,8 +368,10 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
                     f"(lr={lr})"
                 )
             opt.step(model.params, grads, lr)
+            del grads
             epoch_sq_sum += loss * len(idx)
             seen += len(idx)
+            yield
 
         val_loss = mse(ctx.forward_eval(model, X_val), y_val)
 
@@ -330,7 +396,7 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
     if best_params is not None:
         model.params = best_params
         ctx.restore_ranges(best_ranges)
-    return model, report, ctx
+    return model, report, ctx.snapshot_ranges()
 
 
 def train_qat(model: FloatModel, dataset, cfg: TrainConfig):
@@ -341,7 +407,4 @@ def train_qat(model: FloatModel, dataset, cfg: TrainConfig):
     """
     if cfg.qat is None:
         raise ValueError("train_qat needs cfg.qat, the bitwidth combination to train at")
-    from .quantized import QatContext
-
-    trained, report, ctx = _train_loop(model, dataset, cfg, QatContext(model.config, cfg.qat))
-    return trained, report, ctx.snapshot_ranges()
+    return _run_to_end(training_steps(model, dataset, cfg))

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import base64
+import collections
+import itertools
 import json
+import sys
 import threading
 from decimal import Decimal
 from pathlib import Path
@@ -52,6 +55,28 @@ class TestExitCodes:
         code = run(["estimate", "--kb", "/nonexistent.json", "--n", "12",
                     "--combo", "4,4,4,4,4,4,4,4,4,4"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "eval-target", "search", "kb-build"])
+    def test_input_not_utf8_names_the_file(self, kb_path, tmp_path, capsys, command):
+        bad = tmp_path / "reports" / "bad.csv"
+        bad.parent.mkdir()
+        bad.write_bytes(b"\xffvalue\n1\n")
+        model = tmp_path / "model.json"
+        save_model(init(ModelConfig(seq_len=8, input_dim=1, d_model=8), 0), model)
+        argv = {
+            "eval": ["eval", "--model", str(model), "--data", str(bad)],
+            "eval-target": ["eval", "--model", str(model), "--data", str(bad),
+                            "--target", "value"],
+            "search": ["search", "--kb", kb_path, "--n", "12", "--t-luts", "80",
+                       "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100",
+                       "--combos", str(bad)],
+            "kb-build": ["kb", "build", "--reports", str(bad.parent),
+                         "--out", str(tmp_path / "kb.json")],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text (byte 0xff at position 0)\n"
+        )
 
     def test_bad_combo_is_data_error(self, kb_path, capsys):
         code = run(["estimate", "--kb", kb_path, "--n", "12", "--combo", "4,4"])
@@ -583,7 +608,7 @@ class TestPipeline:
     ):
         threads = threading.active_count()
         written = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(cli, "_training_workers", lambda jobs, n=workers: n)
             run_dir = tmp_path / f"workers-{workers}"
             assert run(self.pipeline_args(kb_path, data_path, run_dir)) == 0
@@ -595,7 +620,31 @@ class TestPipeline:
         assert sorted(written[1]) == [
             "candidate_0.json", "candidate_1.json", "float_model.json", "report.json",
         ]
-        assert written[1] == written[2]
+        assert written[1] == written[2] == written[3]
+
+    @staticmethod
+    def record_steps(monkeypatch, fails=lambda cfg: False) -> list:
+        """Log each step of the pipeline's trainings as it starts, as the
+        job's QAT combination (None for the float baseline); a job that
+        ``fails`` selects raises at its second step, logged as "failed"."""
+        original = cli.training_steps
+        log = []
+
+        def steps(model, dataset, cfg):
+            inner = original(model, dataset, cfg)
+            for step in itertools.count(1):
+                log.append(cfg.qat)
+                if step == 2 and fails(cfg):
+                    log.append("failed")
+                    raise ValueError("injected")
+                try:
+                    next(inner)
+                except StopIteration as done:
+                    return done.value
+                yield
+
+        monkeypatch.setattr(cli, "training_steps", steps)
+        return log
 
     @pytest.mark.parametrize("failing, stage", [("train_qat", "candidate-1"),
                                                 ("train", "float-baseline")])
@@ -603,19 +652,36 @@ class TestPipeline:
         self, kb_path, data_path, tmp_path, capsys, monkeypatch, failing, stage
     ):
         second = search(load(kb_path), 12, Thresholds.of(80, 100, 100, 100), top_k=2).selected[1]
-        original = getattr(cli, failing)
-
-        def fail(model, dataset, cfg):
-            if failing == "train" or cfg.qat == second.combo:
-                raise ValueError("injected")
-            return original(model, dataset, cfg)
-
-        monkeypatch.setattr(cli, failing, fail)
+        failed = None if failing == "train" else second.combo
+        log = self.record_steps(monkeypatch, fails=lambda cfg: cfg.qat == failed)
         monkeypatch.setattr(cli, "_training_workers", lambda jobs: 2)
         threads = threading.active_count()
-        assert run(self.pipeline_args(kb_path, data_path, tmp_path / "run")) == 2
+        # no preemption inside the scheduler's short critical sections, so a
+        # step that starts after the failure was handed out after it
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            assert run(self.pipeline_args(kb_path, data_path, tmp_path / "run")) == 2
+        finally:
+            sys.setswitchinterval(interval)
         assert f"pipeline stage '{stage}' failed: injected" in capsys.readouterr().err
         assert threading.active_count() == threads
+        assert log.count(failed) == 2 and log[-1] == "failed"
+
+    def test_every_job_steps_before_any_takes_its_third(
+        self, kb_path, data_path, tmp_path, capsys, monkeypatch
+    ):
+        log = self.record_steps(monkeypatch)
+        monkeypatch.setattr(cli, "_training_workers", lambda jobs: 2)
+        assert run(self.pipeline_args(kb_path, data_path, tmp_path / "run")) == 0
+        jobs = set(log)
+        assert len(jobs) == 3
+        taken = collections.Counter()
+        for job in log:
+            taken[job] += 1
+            if taken[job] == 3:
+                break
+        assert set(taken) == jobs
 
     @pytest.mark.parametrize("cpus, jobs, workers", [(4, 3, 3), (4, 9, 4), (1, 3, 1)])
     def test_training_workers_are_the_cpus_capped_at_the_jobs(

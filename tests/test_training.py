@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
+import resource
 import tracemalloc
+import types
 from dataclasses import dataclass
 from importlib import resources
 
@@ -12,6 +16,7 @@ import pytest
 
 from mixprec.components import BitwidthCombination
 from mixprec.data import ingest, window
+from mixprec import training
 from mixprec.model import FloatModel, ModelConfig, forward_float, init, trainable_tensors
 from mixprec.training import (
     ADAM_EPS,
@@ -344,3 +349,46 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mb * 1e6
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_second_training_faults_in_no_pages(self, bundled):
+        """The heap keeps its high-water mark, so a second training reuses the
+        first one's pages instead of faulting them in step by step (26-30K
+        minor faults per epoch while glibc trimmed the heap after each)."""
+        cfg = TrainConfig(epochs=1, patience=1, seed=42)
+        train(init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42), bundled, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42), bundled, cfg)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+class TestHeapSetting:
+    """The first training sets glibc's mmap and trim thresholds, once."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A stand-in C library whose mallopt records its calls."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        fake = types.SimpleNamespace(mallopt=mallopt, calls=calls)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+        training._keep_heap.cache_clear()
+        yield fake
+        training._keep_heap.cache_clear()  # the next training sets the real values again
+
+    def test_set_once_both_thresholds(self, libc):
+        cfg = TrainConfig(epochs=1, patience=1)
+        train(init(TINY, 1), toy_dataset(), cfg)
+        train_qat(init(TINY, 1), toy_dataset(), TrainConfig(
+            epochs=1, patience=1, qat=BitwidthCombination.uniform(8)))
+        # glibc's M_MMAP_THRESHOLD is -3, its M_TRIM_THRESHOLD -1
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_no_mallopt_is_a_no_op(self, libc):
+        del libc.mallopt
+        train(init(TINY, 1), toy_dataset(), TrainConfig(epochs=1, patience=1))
+        assert libc.calls == []
