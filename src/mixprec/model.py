@@ -117,7 +117,11 @@ class ModelConfig:
 
 @dataclass
 class FloatModel:
-    """Named float64 parameter tensors; mutated only by the trainer."""
+    """Named parameter tensors; mutated only by the trainer.
+
+    Float64 wherever a model is stored, evaluated, calibrated or quantized.
+    Only the training loop's working copy is float32 (see ``training``).
+    """
 
     config: ModelConfig
     params: dict[str, np.ndarray]
@@ -309,7 +313,8 @@ class Dataflow:
         self.model = model
 
     def as_input(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64)
+        # the params' dtype: float32 inside the training loop, float64 elsewhere
+        return np.asarray(X, dtype=self.model.params["l_input.weight"].dtype)
 
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
         return value

@@ -163,9 +163,14 @@ def fake_quantize(values: np.ndarray, params: QuantParams) -> tuple[np.ndarray, 
     """quantize-dequantize plus the straight-through mask.
 
     The mask is True where the pre-clamp integer lies inside the representable
-    range, i.e. where the straight-through gradient is 1.
+    range, i.e. where the straight-through gradient is 1. Float32 input (the
+    training loop's) stays float32: the widest grid a model uses is the
+    18-bit bias grid of an 8-bit input and weight, so its integers are exact
+    in float32's 24-bit significand. Any other input is computed in float64.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        values = values.astype(np.float64, copy=False)
     # round_half_away(values / scale) + zero_point, in place on a fresh array
     # (never on ``values``, often a model's own weights; an array even for 0-d)
     raw = np.divide(values, params.scale, out=np.empty_like(values))

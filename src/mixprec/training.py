@@ -3,6 +3,12 @@
 The learning rate halves every three epochs; early stopping restores the
 parameters of the best validation epoch. Everything is deterministic given
 the config seed.
+
+The steps compute in float32: ``_train_loop`` casts the fit windows, the
+targets and a copy of the parameters to float32, and the forward, the
+backward and Adam follow the parameters' dtype. Each epoch's validation pass
+runs on a float64 copy of the parameters, the copy the loop returns if that
+epoch is the best, so callers only ever see float64 models.
 """
 
 from __future__ import annotations
@@ -114,6 +120,9 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     (within 2 * gamma_N * sum|x||d|, N the row count). Every other gradient
     is bit-identical to the hand-written float backward.
 
+    Every gradient takes the parameters' dtype: float32 in the training
+    loop, float64 for a stored model.
+
     The backward consumes ``cache``: the FFN block's activations (the
     largest) leave it once read, so they are freed before the attention
     block's gradients are allocated.
@@ -123,7 +132,8 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     d = model.config.d_model
     n = model.config.seq_len
     grads: dict[str, np.ndarray] = {}
-    dY = np.array(dY, dtype=np.float64)  # a copy: it is masked in place
+    dtype = p["l_output.weight"].dtype  # float32 in the training loop
+    dY = np.array(dY, dtype=dtype)  # a copy: it is masked in place
     if dY.ndim == 1:
         dY = dY[None]
 
@@ -192,8 +202,8 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
 
     # running statistics carry no gradient
     for prefix in BATCH_NORMS:
-        grads[f"{prefix}.running_mean"] = np.zeros(d)
-        grads[f"{prefix}.running_var"] = np.zeros(d)
+        grads[f"{prefix}.running_mean"] = np.zeros(d, dtype)
+        grads[f"{prefix}.running_var"] = np.zeros(d, dtype)
     return grads
 
 
@@ -287,7 +297,7 @@ _TRIM_THRESHOLD = 1 << 30
 def _keep_heap() -> None:
     """Keep each malloc arena at its high-water mark, once per process.
 
-    A training step frees some 40 MB of intermediates at d_model 64; by
+    A training step frees some 20 MB of intermediates at d_model 64; by
     default glibc hands those pages back to the kernel at the end of the step
     and faults them in again at the next. Setting the trim threshold alone
     disables glibc's dynamic mmap threshold, so large arrays would get their
@@ -341,13 +351,23 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
             f"({model.config.seq_len}, {model.config.input_dim})"
         )
     X_fit, y_fit, X_val, y_val = _split_validation(X_all, y_all)
+    # the steps compute in float32, the validation passes in float64
+    X_fit, y_fit = X_fit.astype(np.float32), y_fit.astype(np.float32)
+    pos_encoding = model.params["pos_encoding"]
+    model = FloatModel(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
 
-    model = model.copy()
+    def as_float64() -> FloatModel:
+        """The params in float64; the positional table, which no step
+        updates, as given."""
+        params = {k: v.astype(np.float64) for k, v in model.params.items()}
+        params["pos_encoding"] = pos_encoding.copy()
+        return FloatModel(model.config, params)
+
     opt = Adam(trainable_tensors(model.config))
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
 
-    best_params = None
+    best = None
     best_ranges = None
     epochs_since_best = 0
 
@@ -373,7 +393,8 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
             seen += len(idx)
             yield
 
-        val_loss = mse(ctx.forward_eval(model, X_val), y_val)
+        evaluated = as_float64()
+        val_loss = mse(ctx.forward_eval(evaluated, X_val), y_val)
 
         report.train_losses.append(epoch_sq_sum / max(seen, 1))
         report.val_losses.append(val_loss)
@@ -382,7 +403,7 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best = evaluated
             best_ranges = ctx.snapshot_ranges()
             epochs_since_best = 0
         else:
@@ -393,10 +414,11 @@ def _train_loop(model: FloatModel, dataset, cfg: TrainConfig, ctx):
     if not report.stopping_reason:
         report.stopping_reason = "max_epochs"
 
-    if best_params is not None:
-        model.params = best_params
+    if best is None:
+        best = as_float64()
+    else:
         ctx.restore_ranges(best_ranges)
-    return model, report, ctx.snapshot_ranges()
+    return best, report, ctx.snapshot_ranges()
 
 
 def train_qat(model: FloatModel, dataset, cfg: TrainConfig):

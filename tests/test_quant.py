@@ -172,6 +172,40 @@ class TestQuantizeDequantize:
         assert np.array_equal(inside, expected_inside)
         assert values.tobytes() == before.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bitwidth=st.integers(2, 18),
+        signed=st.booleans(),
+        scale=st.floats(1e-6, 1e3),
+        values=st.lists(st.floats(width=32, allow_nan=True, allow_infinity=True),
+                        min_size=1, max_size=40),
+    )
+    def test_float32_input_takes_the_formula_in_float32(self, bitwidth, signed, scale, values):
+        # training's grids are at most 18 bits wide, so every grid integer is
+        # exact in float32 and the result stays on the float32 grid
+        q_min, q_max = int_range(bitwidth, signed)
+        p = QuantParams(scale, (q_min + q_max) // 2, bitwidth, signed, QuantScheme.ASYMMETRIC)
+        values = np.array(values, dtype=np.float32)
+        out, inside = fake_quantize(values, p)
+        raw = round_half_away(values / p.scale) + p.zero_point
+        expected = p.scale * (np.clip(raw, p.q_min, p.q_max) - p.zero_point)
+        assert expected.dtype == np.float32
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+        assert np.array_equal(inside, (raw >= p.q_min) & (raw <= p.q_max))
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([0.3, -1.2], dtype=np.float32), np.float32),
+        (np.array([0.3, -1.2]), np.float64),
+        (np.array([3, -1]), np.float64),
+        (0.3, np.float64),
+        (3, np.float64),
+    ], ids=["float32", "float64", "int", "python-float", "python-int"])
+    def test_fake_quantize_dtype(self, values, dtype):
+        p = QuantParams(0.05, 3, 8, True, QuantScheme.ASYMMETRIC)
+        out, inside = fake_quantize(values, p)
+        assert out.dtype == dtype and inside.dtype == np.bool_
+
     def test_quantized_tensor_rejects_out_of_range(self):
         p = QuantParams(1.0, 0, 4, True, QuantScheme.ASYMMETRIC)
         with pytest.raises(ValueError, match="range"):

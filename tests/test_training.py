@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import json
 import math
 import platform
 import resource
@@ -17,7 +18,10 @@ import pytest
 from mixprec.components import BitwidthCombination
 from mixprec.data import ingest, window
 from mixprec import training
-from mixprec.model import FloatModel, ModelConfig, forward_float, init, trainable_tensors
+from mixprec.model import (
+    FloatModel, ModelConfig, forward_float, init, load_model, save_model, trainable_tensors,
+)
+from mixprec.quantized import QatContext
 from mixprec.training import (
     ADAM_EPS,
     Adam,
@@ -213,6 +217,125 @@ class TestTrain:
             train(model, toy_dataset(), cfg)
 
 
+def bundled_windows():
+    asset = resources.files("mixprec") / "assets" / "synthetic_2000.csv"
+    with resources.as_file(asset) as path:
+        return window(ingest(path, "target", None), 12, 0.1)
+
+
+PAPER = ModelConfig(seq_len=12, input_dim=3, d_model=64)
+
+
+class TestFloat32Training:
+    """Training computes in float32; the model it returns, and everything
+    that evaluates it, stays float64."""
+
+    # a mixed combination from the n=12 top five, with 4-, 6- and 8-bit grids
+    MIXED = BitwidthCombination.parse("8,8,6,8,8,4,8,6,8,8")
+
+    @staticmethod
+    def step(model: FloatModel, X, y, combo, dtype, lr=0.001):
+        """One training step at ``dtype``, as the loop takes it: the params
+        and the batch cast to ``dtype``, the forward, the backward and Adam.
+        Returns (gradients, updated params)."""
+        model = FloatModel(model.config, {k: v.astype(dtype) for k, v in model.params.items()})
+        ctx = training._FloatContext() if combo is None else QatContext(model.config, combo)
+        X, y = X.astype(dtype), y.astype(dtype)
+        Y, cache = ctx.forward_train(model, X)
+        grads = ctx.backward(model, cache, 2.0 * (Y - y) / Y.size)
+        Adam(trainable_tensors(model.config)).step(model.params, grads, lr)
+        return grads, model.params
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        """The first 284 training windows of the bundled series: 256 to fit,
+        one batch, and the 28 ``_split_validation`` holds out."""
+        ds = bundled_windows()
+        return ArrayDataset(np.asarray(ds.train_X[:284]), np.asarray(ds.train_y[:284]))
+
+    @pytest.fixture(scope="class")
+    def batch(self, windows):
+        return windows.train_X[:256], windows.train_y[:256].reshape(-1, 1)
+
+    @pytest.mark.parametrize("combo, tol", [(None, 1e-4), (BitwidthCombination.uniform(8), 5e-2),
+                                            (MIXED, 5e-2)], ids=["float", "qat8", "mixed"])
+    def test_step_matches_the_float64_step(self, batch, combo, tol):
+        """Gradients: every entry within ``tol * max|g64|``, the largest
+        float64 gradient entry of the whole model.
+
+        - Float training, 1e-4. Float32 rounds at u = 2**-24, about 6e-8. A
+          weight gradient sums batch * seq_len = 3,072 rows, whose rounding
+          errors grow like sqrt(3072) * u, about 3.3e-6, per layer, and the
+          backward chains fewer than ten layers: about 3e-5, and 1e-4 leaves
+          a 3x margin (seeds 3, 5, 7, 9, 11 and 42 gave at most 1.6e-5).
+        - QAT, 5e-2. Float32 rounding moves a value lying within it of a
+          rounding boundary onto the neighbouring grid point. Each such flip
+          changes an activation by a whole grid step and can change its
+          straight-through mask, so the gradients differ by much more than
+          the rounding itself: at most 1.2e-2 over the same six seeds.
+
+        Updated params: Adam's first step moves a param by
+        ``lr * g / (|g| + eps)``, a map whose values at gradients a and b
+        differ by at most ``min(2, 2|a - b| / (|b| + eps))``. On top of that,
+        float32 rounds the starting param, the update and the result, each
+        within u of its size: the test allows 4u * (|p| + lr).
+
+        Running statistics start at 0 and 1 and take ``BN_MOMENTUM`` times
+        the batch's mean and variance, of order one at a batch norm's input:
+        they are held to ``tol`` in absolute terms (float training gave at
+        most 2.6e-6).
+        """
+        X, y = batch
+        model = init(PAPER, 42)
+        g64, p64 = self.step(model, X, y, combo, np.float64)
+        g32, p32 = self.step(model, X, y, combo, np.float32)
+        assert all(g.dtype == np.float32 for g in g32.values())
+
+        trained = trainable_tensors(PAPER)
+        g_max = max(np.abs(g64[name]).max() for name in trained)
+        u, lr = 2.0**-24, 0.001
+        for name in trained:
+            dg = np.abs(g32[name] - g64[name])
+            assert dg.max() <= tol * g_max, name
+            bound = lr * np.minimum(2, 2 * dg / (np.abs(g64[name]) + ADAM_EPS))
+            bound += 4 * u * (np.abs(p64[name]) + lr)
+            assert np.all(np.abs(p32[name] - p64[name]) <= bound), name
+        for name in set(p64) - set(trained) - {"pos_encoding"}:
+            assert np.abs(p32[name] - p64[name]).max() <= tol, name
+
+    @pytest.mark.parametrize("combo", [None, MIXED], ids=["float", "mixed"])
+    def test_the_loop_takes_the_float32_step(self, windows, batch, combo):
+        """A one-batch epoch returns the float32 step's params bit for bit,
+        in float64, with the positional table as given."""
+        X, y = batch
+        model = init(PAPER, 42)
+        cfg = TrainConfig(epochs=1, patience=1, seed=3, qat=combo)
+        order = np.random.default_rng(cfg.seed).permutation(len(X))  # the loop's batch order
+        _, expected = self.step(model, X[order], y[order], combo, np.float32)
+        trained = (train if combo is None else train_qat)(model, windows, cfg)[0]
+        for name, value in trained.params.items():
+            want = model.params[name] if name == "pos_encoding" else expected[name]
+            assert value.dtype == np.float64, name
+            assert np.array_equal(value, want.astype(np.float64)), name
+
+    @pytest.mark.parametrize("combo", [None, BitwidthCombination.uniform(8)], ids=["float", "qat"])
+    def test_returns_float64_and_leaves_the_input_alone(self, tmp_path, combo):
+        model = init(TINY, 5)
+        before = {k: v.copy() for k, v in model.params.items()}
+        cfg = TrainConfig(epochs=2, patience=2, batch_size=64, seed=5, qat=combo)
+        trained = (train if combo is None else train_qat)(model, toy_dataset(), cfg)[0]
+        assert all(value.dtype == np.float64 for value in trained.params.values())
+        for name, value in before.items():
+            assert model.params[name].dtype == np.float64, name
+            assert np.array_equal(model.params[name], value), name
+        save_model(trained, tmp_path / "model.json")
+        tensors = json.loads((tmp_path / "model.json").read_text())["tensors"]
+        assert {entry["dtype"] for entry in tensors.values()} == {"<f8"}
+        loaded = load_model(tmp_path / "model.json")
+        for name, value in trained.params.items():
+            assert loaded.params[name].tobytes() == value.tobytes(), name
+
+
 class TestAdam:
     def test_single_step_matches_formula(self):
         opt = Adam(["w"])
@@ -329,18 +452,17 @@ class TestLayerGradientsInIsolation:
 class TestTrainingMemory:
     """A training step frees what the backward no longer reads: the last
     step's intermediates before the next forward, the FFN block's once its
-    gradients are done. The pipeline trains two models at once on two CPUs."""
+    gradients are done. The pipeline trains two models at once on two CPUs.
+    Steps compute in float32: one epoch peaks near 17 MB float, 23 MB QAT."""
 
     @pytest.fixture(scope="class")
     def bundled(self):
-        asset = resources.files("mixprec") / "assets" / "synthetic_2000.csv"
-        with resources.as_file(asset) as path:
-            return window(ingest(path, "target", None), 12, 0.1)
+        return bundled_windows()
 
-    @pytest.mark.parametrize("qat, limit_mb", [(None, 40), (BitwidthCombination.uniform(8), 48)],
+    @pytest.mark.parametrize("qat, limit_mb", [(None, 24), (BitwidthCombination.uniform(8), 30)],
                              ids=["float", "qat"])
     def test_one_epoch_peak_at_the_paper_width(self, bundled, qat, limit_mb):
-        model = init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42)
+        model = init(PAPER, 42)
         cfg = TrainConfig(epochs=1, patience=1, seed=42, qat=qat)
         tracemalloc.start()
         try:
@@ -356,9 +478,9 @@ class TestTrainingMemory:
         first one's pages instead of faulting them in step by step (26-30K
         minor faults per epoch while glibc trimmed the heap after each)."""
         cfg = TrainConfig(epochs=1, patience=1, seed=42)
-        train(init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42), bundled, cfg)
+        train(init(PAPER, 42), bundled, cfg)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train(init(ModelConfig(seq_len=12, input_dim=3, d_model=64), 42), bundled, cfg)
+        train(init(PAPER, 42), bundled, cfg)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
