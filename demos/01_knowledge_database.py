@@ -17,7 +17,9 @@ from mixprec import (
 # The bundled database covers sequence lengths 12, 18, 24 at d_model=64,
 # with utilization medians for 13 components x 4 resources x 3 bitwidths.
 db = bundled_database()
-print(f"bundled database: seq_lens {sorted(db.seq_lens)}, {len(db.entries)} entries")
+# One (component, resource, bitwidth) table of Decimals per sequence length.
+entries = sum(table.size for table in db.tables.values())
+print(f"bundled database: seq_lens {sorted(db.seq_lens)}, {entries} entries")
 print("source:", db.metadata["source"])
 
 # Point lookups are exact decimal values.

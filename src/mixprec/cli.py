@@ -41,10 +41,10 @@ from .knowledge import (
     DatabaseFormatError,
     ReportError,
     aggregate,
-    format_value,
     load,
     parse_report,
     save,
+    table_doc,
 )
 from .model import (
     JUNCTION_COMPONENT,
@@ -135,17 +135,17 @@ def cmd_kb_build(args) -> int:
 
 def cmd_kb_validate(args) -> int:
     db = load(args.file)
-    db.validate()
+    entries = sum(table.size for table in db.tables.values())
     doc = {
         "valid": True,
         "seq_lens": sorted(db.seq_lens),
-        "entries": len(db.entries),
+        "entries": entries,
         "schema_version": SCHEMA_VERSION,
     }
     if args.json:
         _emit(doc, None)
     else:
-        print(f"{args.file}: valid ({len(db.entries)} entries, seq_lens {sorted(db.seq_lens)})")
+        print(f"{args.file}: valid ({entries} entries, seq_lens {sorted(db.seq_lens)})")
     return 0
 
 
@@ -157,29 +157,17 @@ def cmd_kb_show(args) -> int:
             components = (ComponentId(args.component.lower()),)
         except ValueError:
             raise ValueError(f"unknown component {args.component!r}") from None
+    doc = table_doc(db.table(args.n), components)
     if args.json:
-        doc = {
-            comp.value: {
-                kind.value: {
-                    str(b): format_value(db.lookup(args.n, comp, kind, b))
-                    for b in VALID_BITWIDTHS
-                }
-                for kind in RESOURCE_ORDER
-            }
-            for comp in components
-        }
         _emit(doc, None)
         return 0
     header = ["component"] + [
         f"{kind.value}/{b}" for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS
     ]
     print("  ".join(f"{h:>10s}" for h in header))
-    for comp in components:
-        cells = [f"{comp.value:>10s}"]
-        for kind in RESOURCE_ORDER:
-            for b in VALID_BITWIDTHS:
-                cells.append(f"{format_value(db.lookup(args.n, comp, kind, b)):>10s}")
-        print("  ".join(cells))
+    for comp, by_kind in doc.items():
+        cells = [comp, *(v for by_bits in by_kind.values() for v in by_bits.values())]
+        print("  ".join(f"{c:>10s}" for c in cells))
     return 0
 
 

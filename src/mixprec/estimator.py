@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .components import (
-    KEY_COMPONENTS,
     OVERHEAD_COMPONENTS,
-    RESOURCE_ORDER,
+    VALID_BITWIDTHS,
     BitwidthCombination,
 )
 from .knowledge import KnowledgeDatabase, ResourceVector
@@ -32,17 +31,14 @@ def estimate(
     combo: BitwidthCombination,
     opts: EstimateOptions = EstimateOptions(),
 ) -> ResourceVector:
-    """Sum per-component utilization for ``combo`` at ``seq_len``."""
-    totals = {kind: Decimal(0) for kind in RESOURCE_ORDER}
-    for comp, bits in zip(KEY_COMPONENTS, combo.bits):
-        for kind in RESOURCE_ORDER:
-            totals[kind] += db.lookup(seq_len, comp, kind, bits)
-    if opts.include_overhead:
-        ob = max(combo.bits)
-        for comp in OVERHEAD_COMPONENTS:
-            for kind in RESOURCE_ORDER:
-                totals[kind] += db.lookup(seq_len, comp, kind, ob)
-    return ResourceVector(*(totals[kind] for kind in RESOURCE_ORDER))
+    """Sum per-component utilization for ``combo`` at ``seq_len``: the key
+    components' rows at their bitwidths' columns, then the overhead rows."""
+    table = db.table(seq_len)
+    columns = [VALID_BITWIDTHS.index(b) for b in combo.bits]
+    if opts.include_overhead:  # the overhead rows follow the key components' rows
+        columns += [VALID_BITWIDTHS.index(max(combo.bits))] * len(OVERHEAD_COMPONENTS)
+    # row by row from Decimal(0), so each total rounds as a scalar running sum would
+    return ResourceVector(*sum(table[range(len(columns)), :, columns], Decimal(0)))
 
 
 def estimate_uniform(

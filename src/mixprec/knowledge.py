@@ -1,7 +1,8 @@
 """Knowledge database of per-component FPGA resource utilization.
 
 The database maps (sequence length, component, resource kind, bitwidth) to a
-utilization percentage obtained by aggregating synthesis reports. Values are
+utilization percentage obtained by aggregating synthesis reports: one dense
+(component, resource, bitwidth) table per sequence length. Values are
 kept as :class:`decimal.Decimal` end to end so that medians, sums, and
 threshold comparisons are exact and reproducible across platforms.
 """
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .components import (
     ALL_COMPONENTS,
@@ -89,14 +92,6 @@ class ResourceVector:
 
     def to_dict(self) -> dict[str, str]:
         return {k.value: format_value(self[k]) for k in RESOURCE_ORDER}
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.luts + other.luts,
-            self.dram + other.dram,
-            self.bram + other.bram,
-            self.dsps + other.dsps,
-        )
 
 
 @dataclass(frozen=True)
@@ -187,50 +182,67 @@ def parse_report(text: str) -> SynthesisReport:
     return SynthesisReport(seq_len=seq_len, bitwidth=bitwidth, entries=entries)
 
 
-EntryKey = tuple[int, ComponentId, ResourceKind, int]
+TABLE_SHAPE = (len(ALL_COMPONENTS), len(RESOURCE_ORDER), len(VALID_BITWIDTHS))
 
 
-@dataclass
+def entry_name(seq_len: int, index: int) -> str:
+    """The save-file path ``entries.<n>.<component>.<resource>.<bits>`` of a
+    table cell, given its flat index."""
+    c, k, b = np.unravel_index(index, TABLE_SHAPE)
+    return (f"entries.{seq_len}.{ALL_COMPONENTS[c].value}.{RESOURCE_ORDER[k].value}."
+            f"{VALID_BITWIDTHS[b]}")
+
+
+@dataclass(frozen=True, eq=False)
 class KnowledgeDatabase:
     """Aggregated utilization lookup table.
 
-    Immutable after construction; safe for concurrent reads.
+    ``tables[n]`` holds sequence length n's stored Decimals in one read-only
+    object array of shape ``TABLE_SHAPE``, indexed by ALL_COMPONENTS,
+    RESOURCE_ORDER and VALID_BITWIDTHS positions. Immutable after
+    construction; safe for concurrent reads.
     """
 
-    entries: dict[EntryKey, Decimal]
-    seq_lens: frozenset[int]
+    tables: dict[int, np.ndarray]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for n, table in self.tables.items():
+            if table.shape != TABLE_SHAPE:
+                raise DatabaseFormatError(f"entries.{n}: shape {table.shape}, not {TABLE_SHAPE}")
+            table.flags.writeable = False
         self.validate()
 
+    @property
+    def seq_lens(self) -> frozenset[int]:
+        return frozenset(self.tables)
+
     def validate(self) -> None:
-        """Check completeness and value domain; raise DatabaseFormatError on failure."""
-        for n in self.seq_lens:
-            for comp in ALL_COMPONENTS:
-                for kind in RESOURCE_ORDER:
-                    for b in VALID_BITWIDTHS:
-                        v = self.entries.get((n, comp, kind, b))
-                        if v is None:
-                            raise DatabaseFormatError(
-                                f"missing entry n={n} {comp.value} {kind.value} {b}-bit"
-                            )
-                        if not v.is_finite() or v < 0:
-                            raise DatabaseFormatError(
-                                f"entry n={n} {comp.value} {kind.value} {b}-bit "
-                                f"must be finite and >= 0, got {v}"
-                            )
+        """Check the value domain; raise DatabaseFormatError on failure."""
+        for n, table in self.tables.items():
+            for i, v in enumerate(table.flat):
+                if not v.is_finite() or v < 0:
+                    raise DatabaseFormatError(
+                        f"{entry_name(n, i)}: must be finite and >= 0, got {v}"
+                    )
+
+    def table(self, seq_len: int) -> np.ndarray:
+        """The table of ``seq_len``; CoverageError when it is not covered."""
+        table = self.tables.get(seq_len)
+        if table is None:
+            covered = ", ".join(str(n) for n in sorted(self.tables))
+            raise CoverageError(f"seq_len {seq_len} not covered; covered lengths: {covered}")
+        return table
 
     def lookup(
         self, seq_len: int, component: ComponentId, resource: ResourceKind, bitwidth: int
     ) -> Decimal:
         """Return the stored utilization percentage exactly."""
-        if seq_len not in self.seq_lens:
-            covered = ", ".join(str(n) for n in sorted(self.seq_lens))
-            raise CoverageError(f"seq_len {seq_len} not covered; covered lengths: {covered}")
+        table = self.table(seq_len)
         if bitwidth not in VALID_BITWIDTHS:
             raise ValueError(f"bitwidth must be one of {VALID_BITWIDTHS}, got {bitwidth}")
-        return self.entries[(seq_len, component, resource, bitwidth)]
+        return table[ALL_COMPONENTS.index(component), RESOURCE_ORDER.index(resource),
+                     VALID_BITWIDTHS.index(bitwidth)]
 
 
 def aggregate(reports: list[SynthesisReport], source: str = "aggregated reports") -> KnowledgeDatabase:
@@ -255,16 +267,28 @@ def aggregate(reports: list[SynthesisReport], source: str = "aggregated reports"
         detail = ", ".join(f"n={n}/b={b}" for n, b in missing)
         raise ValueError(f"incomplete report set; no reports for: {detail}")
 
-    entries: dict[EntryKey, Decimal] = {}
+    tables = {n: np.empty(TABLE_SHAPE, dtype=object) for n in sorted(seq_lens)}
     for (n, b), group in cells.items():
-        for comp in ALL_COMPONENTS:
-            for kind in RESOURCE_ORDER:
+        for c, comp in enumerate(ALL_COMPONENTS):
+            for k, kind in enumerate(RESOURCE_ORDER):
                 values = [rep.entries[comp][kind] for rep in group]
-                entries[(n, comp, kind, b)] = statistics.median(values)
+                tables[n][c, k, VALID_BITWIDTHS.index(b)] = statistics.median(values)
 
     counts = {f"{n}/{b}": len(group) for (n, b), group in sorted(cells.items())}
     metadata = {"source": source, "report_counts": counts}
-    return KnowledgeDatabase(entries=entries, seq_lens=seq_lens, metadata=metadata)
+    return KnowledgeDatabase(tables=tables, metadata=metadata)
+
+
+def table_doc(table: np.ndarray, components=ALL_COMPONENTS) -> dict:
+    """``{component: {resource: {bitwidth: value}}}`` of one length's table,
+    values as canonical decimal strings, as ``save`` writes it."""
+    return {
+        comp.value: {
+            kind.value: {str(b): format_value(v) for b, v in zip(VALID_BITWIDTHS, row)}
+            for kind, row in zip(RESOURCE_ORDER, table[ALL_COMPONENTS.index(comp)])
+        }
+        for comp in components
+    }
 
 
 def save(db: KnowledgeDatabase, path: str | Path) -> None:
@@ -273,19 +297,7 @@ def save(db: KnowledgeDatabase, path: str | Path) -> None:
         "version": SCHEMA_VERSION,
         "seq_lens": sorted(db.seq_lens),
         "metadata": db.metadata,
-        "entries": {
-            str(n): {
-                comp.value: {
-                    kind.value: {
-                        str(b): format_value(db.entries[(n, comp, kind, b)])
-                        for b in VALID_BITWIDTHS
-                    }
-                    for kind in RESOURCE_ORDER
-                }
-                for comp in ALL_COMPONENTS
-            }
-            for n in sorted(db.seq_lens)
-        },
+        "entries": {str(n): table_doc(db.tables[n]) for n in sorted(db.tables)},
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
@@ -311,36 +323,34 @@ def _database_from_doc(doc) -> KnowledgeDatabase:
         raise ValueError(f"seq_lens: {declared} lists a length twice")
     metadata = _expect(doc.get("metadata", {}), dict, "metadata")
 
-    entries: dict[EntryKey, Decimal] = {}
-    seq_lens = []
+    tables = {}
     for n_str, comp_map in _get(doc, "entries", dict, "entries").items():
         where = f"entries.{n_str}"
         n = int(n_str) if n_str.isdigit() else 0
         if n <= 0 or str(n) != n_str:
             raise ValueError(f"{where}: bad seq_len")
-        seq_lens.append(n)
         _only(_expect(comp_map, dict, where), _COMPONENT_BY_NAME, where)
-        for comp_key, comp in _COMPONENT_BY_NAME.items():
+        cells = []  # in ALL_COMPONENTS x RESOURCE_ORDER x VALID_BITWIDTHS order
+        for comp_key in _COMPONENT_BY_NAME:
             comp_where = f"{where}.{comp_key}"
             kind_map = _only(_get(comp_map, comp_key, dict, comp_where), _KIND_BY_NAME, comp_where)
-            for kind_key, kind in _KIND_BY_NAME.items():
+            for kind_key in _KIND_BY_NAME:
                 kind_where = f"{comp_where}.{kind_key}"
                 bw_map = _only(_get(kind_map, kind_key, dict, kind_where), _BITWIDTH_BY_NAME,
                                kind_where)
-                for b_key, b in _BITWIDTH_BY_NAME.items():
+                for b_key in _BITWIDTH_BY_NAME:
                     raw = bw_map.get(b_key)
                     if type(raw) is not str:  # _get names the field; 468 leaves a load
                         _get(bw_map, b_key, str, f"{kind_where}.{b_key}")
                     try:
-                        entries[(n, comp, kind, b)] = Decimal(raw)
+                        cells.append(Decimal(raw))
                     except InvalidOperation as e:
                         raise ValueError(f"{kind_where}.{b_key}: bad decimal {raw!r}") from e
+        tables[n] = np.array(cells, dtype=object).reshape(TABLE_SHAPE)
 
-    if set(declared) != set(seq_lens):
-        raise ValueError(
-            f"seq_lens {sorted(declared)} disagree with entries {sorted(seq_lens)}"
-        )
-    return KnowledgeDatabase(entries=entries, seq_lens=frozenset(seq_lens), metadata=metadata)
+    if set(declared) != tables.keys():
+        raise ValueError(f"seq_lens {sorted(declared)} disagree with entries {sorted(tables)}")
+    return KnowledgeDatabase(tables=tables, metadata=metadata)
 
 
 def _load_doc(doc, origin: str) -> KnowledgeDatabase:

@@ -24,16 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .components import (
-    KEY_COMPONENTS,
     NUM_KEY_COMPONENTS,
-    OVERHEAD_COMPONENTS,
     RESOURCE_ORDER,
     VALID_BITWIDTHS,
     BitwidthCombination,
     ResourceKind,
 )
 from .estimator import EstimateOptions
-from .knowledge import KnowledgeDatabase, ResourceVector
+from .knowledge import KnowledgeDatabase, ResourceVector, entry_name
 from .model import read_utf8
 
 _BASE = len(VALID_BITWIDTHS)
@@ -197,29 +195,29 @@ def _utilization(
     """(places, sums, limit): sums[j, r] is row r's utilization of resource
     RESOURCE_ORDER[j], limit[j] its threshold, as integers on a common
     denominator 10^places."""
-    comps = KEY_COMPONENTS + OVERHEAD_COMPONENTS
-    entries = {
-        f"entries.{seq_len}.{comp.value}.{kind.value}.{b}": db.lookup(seq_len, comp, kind, b)
-        for comp in comps for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS
-    }
-    values = entries | {f"threshold t_{kind.value}": thresholds[kind] for kind in RESOURCE_ORDER}
-    name, value = max(values.items(), key=lambda item: _decimal_places(item[1]))
-    places = _decimal_places(value)
-    scaled = np.array([int(v.scaleb(places)) for v in values.values()], dtype=object)
-    tables = scaled[: -len(RESOURCE_ORDER)].reshape(len(comps), len(RESOURCE_ORDER), _BASE)
+    table = db.table(seq_len)
+    values = [*table.flat, *(thresholds[kind] for kind in RESOURCE_ORDER)]
+    digits = [_decimal_places(v) for v in values]
+    places = max(digits)
+    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=object)
+    tables = scaled[: table.size].reshape(table.shape)
     # entries are >= 0, so no partial sum of a row, overhead included,
     # exceeds the sum of the per-component maxima
     worst = tables.max(axis=2).sum(axis=0)
     if (worst > _INT64_MAX).any():
+        names = [*(entry_name(seq_len, i) for i in range(table.size)),
+                 *(f"threshold t_{kind.value}" for kind in RESOURCE_ORDER)]
         if not places:
-            name, value = max(entries.items(), key=lambda item: item[1])
-            raise ValueError(f"{name} {value} is too large: utilization sums overflow 64 bits")
+            i = int(np.argmax(table))  # the first largest entry
+            raise ValueError(
+                f"{names[i]} {values[i]} is too large: utilization sums overflow 64 bits")
+        i = digits.index(places)
         raise ValueError(
-            f"{name} {value}: its {places} decimal places put the utilization sums on the "
+            f"{names[i]} {values[i]}: its {places} decimal places put the utilization sums on the "
             f"denominator 10^{places}, where they overflow 64 bits"
         )
     # a threshold above every possible sum passes every row, as that bound does
-    limit = np.minimum(scaled[-len(RESOURCE_ORDER):], worst).astype(np.int64)
+    limit = np.minimum(scaled[table.size:], worst).astype(np.int64)
     tables = tables.astype(np.int64)
     sums = _kronecker(tables[:NUM_KEY_COMPONENTS])
     if opts.include_overhead:

@@ -88,6 +88,19 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["kb", "show", "KB"],
+        ["kb", "show", "KB", "--json"],
+        ["search", "--kb", "KB", "--t-luts", "80", "--t-dram", "100", "--t-bram", "100",
+         "--t-dsps", "100"],
+        ["estimate", "--kb", "KB", "--combo", "4,4,4,4,4,4,4,4,4,4"],
+    ], ids=["kb-show", "kb-show-json", "search", "estimate"])
+    def test_uncovered_seq_len_prints_nothing_to_stdout(self, kb_path, capsys, argv):
+        assert run([kb_path if a == "KB" else a for a in argv] + ["--n", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seq_len 6 not covered; covered lengths: 12, 18, 24" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["search", "--threads", "2"],
         ["estimate", "--seed", "1"],
         ["train", "--m", "3"],
@@ -191,8 +204,11 @@ class TestKb:
          "entries.12.mha.luts.4: expected a string, got a number"),
         (lambda doc: doc["entries"]["12"]["mha"]["luts"].update({"5": "1.0"}),
          "entries.12.mha.luts.5: unexpected"),
+        *[(lambda doc, v=value: doc["entries"]["12"]["mha"]["luts"].update({"4": v}),
+           f"entries.12.mha.luts.4: must be finite and >= 0, got {value}")
+          for value in ("-1", "NaN", "sNaN", "Infinity")],
     ], ids=["entries-array", "resource-array", "seq-lens-integer", "seq-lens-duplicate",
-            "number-for-decimal", "extra-bitwidth"])
+            "number-for-decimal", "extra-bitwidth", "negative", "nan", "snan", "infinity"])
     def test_malformed_database_field_is_named(self, kb_path, tmp_path, capsys, mutate, named):
         doc = json.loads(Path(kb_path).read_text())
         mutate(doc)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from mixprec.components import (
-    ALL_COMPONENTS,
     KEY_COMPONENTS,
     OVERHEAD_COMPONENTS,
     RESOURCE_ORDER,
@@ -17,7 +19,7 @@ from mixprec.components import (
     ResourceKind,
 )
 from mixprec.estimator import EstimateOptions, estimate, estimate_uniform
-from mixprec.knowledge import CoverageError, KnowledgeDatabase, bundled_database
+from mixprec.knowledge import TABLE_SHAPE, CoverageError, KnowledgeDatabase, bundled_database
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +28,7 @@ def db():
 
 
 def zero_db() -> KnowledgeDatabase:
-    entries = {
-        (12, comp, kind, b): Decimal("0.0")
-        for comp in ALL_COMPONENTS
-        for kind in RESOURCE_ORDER
-        for b in VALID_BITWIDTHS
-    }
-    return KnowledgeDatabase(entries=entries, seq_lens=frozenset({12}))
+    return KnowledgeDatabase(tables={12: np.full(TABLE_SHAPE, Decimal("0.0"), dtype=object)})
 
 
 class TestEstimate:
@@ -68,6 +64,28 @@ class TestEstimate:
     def test_deterministic(self, db):
         combo = BitwidthCombination.parse("8,4,6,8,4,6,8,4,6,8")
         assert estimate(db, 18, combo) == estimate(db, 18, combo)
+
+    @pytest.mark.parametrize("overhead", [False, True])
+    def test_rounds_as_a_running_sum_of_lookups(self, overhead):
+        # 28-digit entries at exponents 0 to -3 make the additions round,
+        # so a different summation order would give different digits
+        rng = random.Random(17)
+        cells = [Decimal(rng.randrange(10**27, 10**28)).scaleb(-rng.randrange(0, 4))
+                 for _ in range(math.prod(TABLE_SHAPE))]
+        db = KnowledgeDatabase(tables={12: np.array(cells, dtype=object).reshape(TABLE_SHAPE)})
+        for _ in range(20):
+            combo = BitwidthCombination(tuple(rng.choice(VALID_BITWIDTHS) for _ in range(10)))
+            picked = list(zip(KEY_COMPONENTS, combo.bits))
+            if overhead:
+                picked += [(comp, max(combo.bits)) for comp in OVERHEAD_COMPONENTS]
+            want = []
+            for kind in RESOURCE_ORDER:
+                total = Decimal(0)
+                for comp, bits in picked:
+                    total += db.lookup(12, comp, kind, bits)
+                want.append(str(total))
+            got = estimate(db, 12, combo, EstimateOptions(include_overhead=overhead))
+            assert [str(got[kind]) for kind in RESOURCE_ORDER] == want
 
 
 class TestEstimateUniform:

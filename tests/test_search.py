@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -25,7 +26,13 @@ from mixprec.components import (
     ResourceKind,
 )
 from mixprec.estimator import EstimateOptions, estimate
-from mixprec.knowledge import KnowledgeDatabase, ResourceVector, bundled_database, save
+from mixprec.knowledge import (
+    TABLE_SHAPE,
+    KnowledgeDatabase,
+    ResourceVector,
+    bundled_database,
+    save,
+)
 from mixprec.search import (
     TOTAL_COMBINATIONS,
     CandidateSet,
@@ -187,9 +194,10 @@ class TestSearch:
 
     def test_overhead_entry_with_more_decimal_places(self, db):
         # the common denominator must cover overhead entries too, not only key ones
-        key = (12, ComponentId.O_MODEL, ResourceKind.LUTS, 8)
-        entries = {**db.entries, key: db.entries[key] + Decimal("0.05")}
-        finer = KnowledgeDatabase(entries=entries, seq_lens=db.seq_lens)
+        table = db.table(12).copy()
+        table[ALL_COMPONENTS.index(ComponentId.O_MODEL), RESOURCE_ORDER.index(ResourceKind.LUTS),
+              VALID_BITWIDTHS.index(8)] += Decimal("0.05")
+        finer = KnowledgeDatabase(tables={**db.tables, 12: table})
         opts = EstimateOptions(include_overhead=True)
         result = search(finer, 12, Thresholds.of(1000, 1000, 1000, 1000), opts=opts)
         assert result.selected[0].combo == BitwidthCombination.uniform(8)
@@ -309,10 +317,8 @@ def databases_and_thresholds(draw):
         ps = draw(st.lists(st.integers(0, places), min_size=count, max_size=count))
         return [Decimal(k // 10 ** (places - p)).scaleb(-p) for k, p in zip(ks, ps)]
 
-    keys = [(12, comp, kind, b)
-            for comp in ALL_COMPONENTS for kind in RESOURCE_ORDER for b in VALID_BITWIDTHS]
-    db = KnowledgeDatabase(entries=dict(zip(keys, decimals(len(keys), high))),
-                           seq_lens=frozenset({12}))
+    table = np.array(decimals(math.prod(TABLE_SHAPE), high), dtype=object).reshape(TABLE_SHAPE)
+    db = KnowledgeDatabase(tables={12: table})
     return db, Thresholds(*(4 * high + v for v in decimals(4, 9 * high)))
 
 
@@ -337,7 +343,7 @@ class TestExactAtAnyDecimalPlaces:
         db, thresholds = case
         opts = EstimateOptions(include_overhead=overhead)
         subset = CandidateSet(codes=np.array(codes))
-        stated = [*db.entries.values(), *vars(thresholds).values()]
+        stated = [*db.table(12).flat, *vars(thresholds).values()]
         places = max(decimal_places(v) for v in stated)
         worst = max(
             sum(max(db.lookup(12, comp, kind, b) for b in VALID_BITWIDTHS)
