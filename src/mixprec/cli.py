@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, training
 from .components import (
     ALL_COMPONENTS,
     RESOURCE_ORDER,
@@ -637,6 +637,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         # argparse exits 0 for --help/--version, our error() raises 1
         return int(e.code or 0)
+    # eval-mode passes free and allocate the same arrays batch after batch
+    training._keep_heap()
     try:
         return args.func(args)
     except DATA_ERRORS as e:

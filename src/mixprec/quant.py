@@ -17,6 +17,11 @@ from enum import Enum
 
 import numpy as np
 
+try:  # the clip ufunc itself, without np.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as _clip
+
 # Guard bits added on top of input+weight width for the accumulator-derived
 # bias grid: 8+8 -> 18, 6+8 -> 16, 4+8 -> 14.
 BIAS_GUARD_BITS = 2
@@ -227,15 +232,22 @@ def make_requantizer(s_in: float, s_out: float) -> Requantizer:
     return Requantizer(multiplier=multiplier, shift=shift)
 
 
-def rounding_shift(p: np.ndarray, shift: int | np.ndarray) -> np.ndarray:
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def rounding_shift(
+    p: np.ndarray, shift: int | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Divide int64 ``p`` by 2**shift (scalar or per element) rounding half away from zero.
 
     Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring; at shift 0
     (the identity) the ``[p < 0]`` term compares against the int64 minimum instead.
+    The result goes to ``out`` (which may be ``p`` itself) or to a new array.
     """
     half = (np.int64(1) << shift) >> 1
-    out = p + half
-    out -= p < np.where(half > 0, 0, np.iinfo(np.int64).min)
+    negative = p < np.where(half > 0, 0, _INT64_MIN)
+    out = np.add(p, half, out=out)
+    out -= negative
     out >>= shift
     return out
 
@@ -256,10 +268,12 @@ def requantize(
     scalar = not isinstance(acc, np.ndarray)
     acc_arr = np.asarray(acc, dtype=np.int64)
     # 32-bit accumulator contract |acc| < 2**31, proven at plan time: anything
-    # larger is a planning bug upstream (and would void the exact float64 matmuls)
+    # larger is a planning bug upstream (and would void the exact float matmuls)
     if acc_arr.size and (acc_arr.min() <= -(1 << 31) or acc_arr.max() >= (1 << 31)):
         raise AssertionError("accumulator exceeds 32-bit bound; widen the plan")
-    q = rounding_shift(acc_arr * np.int64(r.multiplier), r.shift)
+    # one fresh array (an array even for 0-d), every later step in place on it
+    q = np.multiply(acc_arr, np.int64(r.multiplier), out=np.empty_like(acc_arr))
+    rounding_shift(q, r.shift, out=q)
     q += out_zero_point
-    q = np.clip(q, *int_range(out_bitwidth, signed))
+    _clip(q, *int_range(out_bitwidth, signed), out=q)
     return int(q) if scalar else q

@@ -12,15 +12,26 @@ Residual adds requantize each addend onto the output grid before the integer
 addition; the FFN's hidden grid is unsigned with zero point 0, so its
 requantizer clamp doubles as the ReLU.
 
-The integer matmuls (eight linears, q.k^T and p.v) run on float64 BLAS and
+The integer matmuls (eight linears, q.k^T and p.v) run on float BLAS and
 are cast back to int64, bit-identical to int64 matmuls. Their operands are
-zero-point-corrected integers, and ``_assert_accumulator_bound`` proves at
-plan time that every accumulator, bias included, satisfies |acc| < 2**31;
-every product and partial sum is bounded by the same sum of magnitudes.
-float64 represents every integer below 2**53 exactly, so each product and
-each addition is exact in any summation order, blocking or FMA use, hence
-for any BLAS library and thread count. ``requantize`` re-checks the 2**31
-bound at run time.
+zero-point-corrected integers, so every product and every partial sum, in
+whatever order it is formed, is an integer no larger in magnitude than the
+matmul's worst sum of magnitudes, fan_in * (2**bx - 1) * (2**bw - 1). Each
+matmul's operand type is fixed at plan time from that sum
+(``_matmul_dtype``): float32 where it is at most 2**24, since float32
+represents every integer up to 2**24 exactly, and float64 elsewhere, where
+``_assert_accumulator_bound``'s proof that every accumulator, bias included,
+satisfies |acc| < 2**31 keeps it far below float64's 2**53. Each product and
+each addition is then exact in any summation order, blocking or FMA use,
+hence for any BLAS library and thread count. At d_model 64 every matmul of
+every combination takes float32 (the widest, the FFN's second linear at
+uniform 8, sums 256 * 255**2 < 2**24). The bias is added in int64, and
+``requantize`` re-checks the 2**31 bound at run time.
+
+Batch norm's input grid has at most 256 values, so the runtime tabulates
+its fixed-point arithmetic (sign * acc * multiplier + offset, rounding shift,
+clamp) once per (input value, feature), and the integer engine's batch norm
+is one gather that refuses any input off the grid.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from .quant import (
     QuantParams,
     QuantizedTensor,
     Requantizer,
+    _clip,
     bias_bitwidth,
     derive_bias_params,
     fake_quantize,
@@ -142,23 +154,45 @@ def _weight_params(model: FloatModel, combo: BitwidthCombination) -> dict[str, Q
     return out
 
 
-def _assert_accumulator_bound(config: ModelConfig, combo: BitwidthCombination) -> None:
-    """Worst-case |acc| must stay inside 32 bits for every integer matmul."""
-    d, n = config.d_model, config.seq_len
+def _matmul_operands(config: ModelConfig, combo: BitwidthCombination) -> dict[str, tuple]:
+    """(fan-in, left operand bits, right operand bits) of every integer
+    matmul: the eight linears by name, q.k^T as "scores" and p.v as "context"."""
     shapes = tensor_shapes(config)
     width = {name: combo[comp] for name, comp in _COMPONENT.items()}
-    for name, (junction, _) in LINEARS.items():
-        fan_in = shapes[f"{name}.weight"][0]
-        bx, bw = width[junction], width[f"{name}.weight"]
+    operands = {
+        name: (shapes[f"{name}.weight"][0], width[junction], width[f"{name}.weight"])
+        for name, (junction, _) in LINEARS.items()
+    }
+    operands["scores"] = (config.d_model, width["mha.q"], width["mha.k"])
+    operands["context"] = (config.seq_len, width["mha.probs"], width["mha.v"])
+    return operands
+
+
+def _assert_accumulator_bound(config: ModelConfig, combo: BitwidthCombination) -> None:
+    """Worst-case |acc| must stay inside 32 bits for every integer matmul."""
+    operands = _matmul_operands(config, combo)
+    for name in LINEARS:
+        fan_in, bx, bw = operands[name]
         worst = fan_in * (1 << bx) * (1 << bw) + (1 << (bias_bitwidth(bx, bw) - 1))
         if worst >= (1 << 31):
             raise ValueError(
                 f"{name}: worst-case accumulator {worst} exceeds 32 bits for this config"
             )
-    score_worst = d * (1 << (width["mha.q"] + width["mha.k"]))
-    ctx_worst = n * (1 << (width["mha.probs"] + width["mha.v"]))
-    if max(score_worst, ctx_worst, n * 256) >= (1 << 31):
+    score_worst, ctx_worst = (
+        fan_in << (b1 + b2) for fan_in, b1, b2 in (operands["scores"], operands["context"])
+    )
+    if max(score_worst, ctx_worst, config.seq_len * 256) >= (1 << 31):
         raise ValueError("attention accumulator exceeds 32 bits for this config")
+
+
+def _matmul_dtype(fan_in: int, b1: int, b2: int) -> type:
+    """The float type that holds every product and partial sum of a matmul of
+    zero-point-corrected integers exactly: each is an integer of magnitude at
+    most fan_in * (2**b1 - 1) * (2**b2 - 1). float32 represents every integer
+    up to 2**24; float64, every integer below 2**53, which the 32-bit
+    accumulator bound keeps every other matmul under."""
+    worst = fan_in * ((1 << b1) - 1) * ((1 << b2) - 1)
+    return np.float32 if worst <= 1 << 24 else np.float64
 
 
 # --- integer softmax ---------------------------------------------------------
@@ -218,14 +252,37 @@ def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarra
 # --- quantized model ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _BnTable:
+    """Batch norm on an integer input grid, tabulated: ``values[x - q_min, j]``
+    is feature j's output for input x."""
+
+    values: np.ndarray  # (q_max - q_min + 1, d_model) int64
+    q_min: int
+    q_max: int
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        # an input off the grid would read another feature's entry
+        if x.size and (x.min() < self.q_min or x.max() > self.q_max):
+            raise AssertionError("batch norm input outside its grid")
+        d = self.values.shape[1]
+        index = x * d
+        index += np.arange(d) - self.q_min * d
+        return self.values.take(index)
+
+
 @dataclass
 class _Runtime:
     """Requantizers and folded integer constants derived from the params."""
 
     linear: dict[str, Requantizer] = field(default_factory=dict)
-    weights: dict[str, np.ndarray] = field(default_factory=dict)  # w - zero point, float64
+    # operand type of every integer matmul (``_matmul_dtype``), by
+    # ``_matmul_operands`` name
+    dtype: dict[str, type] = field(default_factory=dict)
+    weights: dict[str, np.ndarray] = field(default_factory=dict)  # w - zero point, dtype[name]
     add: dict[str, tuple[Requantizer, Requantizer]] = field(default_factory=dict)
-    bn: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    bn: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)  # what bn_table tabulates
+    bn_table: dict[str, _BnTable] = field(default_factory=dict)
     scores: Requantizer | None = None
     probs: Requantizer | None = None
     ctx: Requantizer | None = None
@@ -274,16 +331,26 @@ def _bn_integer_constants(
     return {"sign": sign, "mult": mult, "shift": shift, "offset": offset}
 
 
+def _bn_table(c: dict[str, np.ndarray], in_p: QuantParams, out_p: QuantParams) -> _BnTable:
+    """The integer batch norm with constants ``c`` at every value of its input grid."""
+    acc = np.arange(in_p.q_min, in_p.q_max + 1, dtype=np.int64)[:, None] - in_p.zero_point
+    y = rounding_shift(c["sign"] * acc * c["mult"] + c["offset"], c["shift"])
+    values = np.clip(y + out_p.zero_point, out_p.q_min, out_p.q_max)
+    return _BnTable(values, in_p.q_min, in_p.q_max)
+
+
 def _build_runtime(qm: QuantizedModel) -> None:
     act = qm.act_params
     rt = qm.runtime
     d = qm.config.d_model
 
+    for name, operands in _matmul_operands(qm.config, qm.combo).items():
+        rt.dtype[name] = _matmul_dtype(*operands)
     for name, (_, out_junction) in LINEARS.items():
         s_acc = qm.tensors[f"{name}.bias"].params.scale  # = s_x * s_w
         rt.linear[name] = make_requantizer(s_acc, act[out_junction].scale)
         w = qm.tensors[f"{name}.weight"]
-        rt.weights[name] = _centered(w.data, w.params.zero_point)
+        rt.weights[name] = _centered(w.data, w.params.zero_point, rt.dtype[name])
 
     for node in NODES:
         out = act[node.junction]
@@ -292,12 +359,11 @@ def _build_runtime(qm: QuantizedModel) -> None:
                 make_requantizer(qm.grid(name).scale, out.scale) for name in node.inputs
             )
         elif node.op == "bn":
+            in_p = act[node.inputs[0]]
             rt.bn[node.layer] = _bn_integer_constants(
-                qm.bn_folds[f"{node.layer}.fold_a"],
-                qm.bn_folds[f"{node.layer}.fold_b"],
-                act[node.inputs[0]],
-                out,
+                qm.bn_folds[f"{node.layer}.fold_a"], qm.bn_folds[f"{node.layer}.fold_b"], in_p, out
             )
+            rt.bn_table[node.layer] = _bn_table(rt.bn[node.layer], in_p, out)
 
     s_q, s_k = act["mha.q"].scale, act["mha.k"].scale
     rt.scores = make_requantizer(s_q * s_k / math.sqrt(d), act["mha.scores"].scale)
@@ -438,9 +504,9 @@ def quantize_model(
 # --- integer forward ----------------------------------------------------------
 
 
-def _centered(x_q: np.ndarray, zero_point: int) -> np.ndarray:
-    """``x_q - zero_point`` as float64, an operand of an exact BLAS matmul (see above)."""
-    return np.subtract(x_q, zero_point, dtype=np.float64)
+def _centered(x_q: np.ndarray, zero_point: int, dtype: type) -> np.ndarray:
+    """``x_q - zero_point`` as ``dtype``, an operand of an exact BLAS matmul (see above)."""
+    return np.subtract(x_q, zero_point, dtype=dtype)
 
 
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
@@ -462,13 +528,19 @@ class _IntegerEngine(Dataflow):
     def __init__(self, qm: QuantizedModel):
         super().__init__(qm)
         self.rt = qm.runtime
+        self._last_centered: tuple = (None, None, None)
 
     def _requantize(self, acc: np.ndarray, r: Requantizer, junction: str) -> np.ndarray:
         p = self.model.act_params[junction]
         return requantize(acc, r, p.zero_point, p.bitwidth, p.signed)
 
-    def _centered(self, junction: str, x: np.ndarray) -> np.ndarray:
-        return _centered(x, self.model.act_params[junction].zero_point)
+    def _centered(self, junction: str, x: np.ndarray, dtype: type) -> np.ndarray:
+        # mha.wq, wk and wv read one value in a row: they share one copy
+        value, key, centered = self._last_centered
+        if value is not x or key != (junction, dtype):
+            centered = _centered(x, self.model.act_params[junction].zero_point, dtype)
+            self._last_centered = (x, (junction, dtype), centered)
+        return centered
 
     def as_input(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.int64)
@@ -481,7 +553,8 @@ class _IntegerEngine(Dataflow):
 
     def linear(self, name: str, x: np.ndarray) -> np.ndarray:
         x_junction, out_junction = LINEARS[name]
-        acc = (self._centered(x_junction, x) @ self.rt.weights[name]).astype(np.int64)
+        x_c = self._centered(x_junction, x, self.rt.dtype[name])
+        acc = (x_c @ self.rt.weights[name]).astype(np.int64)
         acc += self.model.tensors[f"{name}.bias"].data
         return self._requantize(acc, self.rt.linear[name], out_junction)
 
@@ -491,20 +564,18 @@ class _IntegerEngine(Dataflow):
         # each addend is requantized onto the output grid before the addition
         out = self.model.act_params[out_junction]
         (n1, n2), (r1, r2) = LAYER_NODE[add_name].inputs, self.rt.add[add_name]
-        a1 = self._requantize(x1 - self.model.grid(n1).zero_point, r1, out_junction)
-        a2 = self._requantize(x2 - self.model.grid(n2).zero_point, r2, out_junction)
-        return np.clip(a1 + a2 - out.zero_point, out.q_min, out.q_max)
+        total = self._requantize(x1 - self.model.grid(n1).zero_point, r1, out_junction)
+        total += self._requantize(x2 - self.model.grid(n2).zero_point, r2, out_junction)
+        total -= out.zero_point
+        return _clip(total, out.q_min, out.q_max, out=total)
 
     def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
-        node, c = LAYER_NODE[prefix], self.rt.bn[prefix]
-        out = self.model.act_params[node.junction]
-        acc = (x - self.model.act_params[node.inputs[0]].zero_point).astype(np.int64)
-        y = rounding_shift(c["sign"] * acc * c["mult"] + c["offset"], c["shift"])
-        return np.clip(y + out.zero_point, out.q_min, out.q_max)
+        return self.rt.bn_table[prefix](x)
 
     def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        k_t = self._centered("mha.k", k).transpose(0, 2, 1)
-        acc = (self._centered("mha.q", q) @ k_t).astype(np.int64)
+        dtype = self.rt.dtype["scores"]
+        k_t = self._centered("mha.k", k, dtype).transpose(0, 2, 1)
+        acc = (self._centered("mha.q", q, dtype) @ k_t).astype(np.int64)
         return self._requantize(acc, self.rt.scores, "mha.scores")
 
     def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
@@ -512,7 +583,9 @@ class _IntegerEngine(Dataflow):
         return self._requantize(p_fix, self.rt.probs, "mha.probs")
 
     def context(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        acc = (self._centered("mha.probs", p) @ self._centered("mha.v", v)).astype(np.int64)
+        dtype = self.rt.dtype["context"]
+        v_c = self._centered("mha.v", v, dtype)
+        acc = (self._centered("mha.probs", p, dtype) @ v_c).astype(np.int64)
         return self._requantize(acc, self.rt.ctx, "mha.context")
 
     def relu(self, x: np.ndarray) -> np.ndarray:

@@ -297,12 +297,14 @@ _TRIM_THRESHOLD = 1 << 30
 def _keep_heap() -> None:
     """Keep each malloc arena at its high-water mark, once per process.
 
-    A training step frees some 20 MB of intermediates at d_model 64; by
-    default glibc hands those pages back to the kernel at the end of the step
-    and faults them in again at the next. Setting the trim threshold alone
-    disables glibc's dynamic mmap threshold, so large arrays would get their
-    own mmap each, which faults far more: both values are set. Where libc
-    has no ``mallopt`` this does nothing.
+    ``cli.run`` calls this before every command, and training for library
+    callers. A training step frees some 20 MB of intermediates at d_model 64,
+    and each batch of an eval-mode pass its arrays of a few MB; by default
+    glibc hands those pages back to the kernel and faults them in again at
+    the next step or batch. Setting the trim threshold alone disables glibc's
+    dynamic mmap threshold, so large arrays would get their own mmap each,
+    which faults far more: both values are set. Where libc has no
+    ``mallopt`` this does nothing.
     """
     import ctypes
 

@@ -17,7 +17,7 @@ import pytest
 
 from mixprec.components import BitwidthCombination
 from mixprec.data import ingest, window
-from mixprec import training
+from mixprec import cli, training
 from mixprec.model import (
     FloatModel, ModelConfig, forward_float, init, load_model, save_model, trainable_tensors,
 )
@@ -485,7 +485,7 @@ class TestTrainingMemory:
 
 
 class TestHeapSetting:
-    """The first training sets glibc's mmap and trim thresholds, once."""
+    """The first command or training sets glibc's mmap and trim thresholds, once."""
 
     @pytest.fixture
     def libc(self, monkeypatch):
@@ -508,6 +508,14 @@ class TestHeapSetting:
         train_qat(init(TINY, 1), toy_dataset(), TrainConfig(
             epochs=1, patience=1, qat=BitwidthCombination.uniform(8)))
         # glibc's M_MMAP_THRESHOLD is -3, its M_TRIM_THRESHOLD -1
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_set_by_a_command_that_never_trains(self, libc, capsys):
+        asset = resources.files("mixprec") / "assets" / "table2.json"
+        with resources.as_file(asset) as path:
+            argv = ["estimate", "--kb", str(path), "--n", "12", "--combo", "8,8,8,8,8,8,8,8,8,8"]
+            assert cli.run(argv) == 0
+            assert cli.run(argv) == 0
         assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
 
     def test_no_mallopt_is_a_no_op(self, libc):
