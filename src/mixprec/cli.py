@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -98,16 +96,6 @@ def _load_windowed(args, seq_len: int):
 
     series = ingest(Path(args.data), args.target, args.timestamp)
     return window(series, seq_len, args.test_fraction)
-
-
-def _resolve_target(args) -> None:
-    # default target: last CSV column
-    if args.target is None:
-        header = next(csv.reader(io.StringIO(read_utf8(args.data))), [])
-        columns = [h.strip() for h in header if h.strip() != args.timestamp]
-        if not columns:
-            raise ValueError(f"{args.data}: the CSV header names no data column")
-        args.target = columns[-1]
 
 
 # --- kb ------------------------------------------------------------------------
@@ -238,7 +226,6 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    _resolve_target(args)
     dataset = _load_windowed(args, args.n)
     config = ModelConfig(seq_len=args.n, input_dim=dataset.X.shape[2], d_model=args.d_model)
     model = init(config, args.seed)
@@ -272,7 +259,6 @@ def cmd_quantize(args) -> int:
     else:
         if not args.data:
             raise ValueError("provide --data for calibration or --ranges from a QAT report")
-        _resolve_target(args)
         dataset = _load_windowed(args, model.config.seq_len)
         qm = quantize_model(model, combo, calibration_data=dataset.train_X)
     save_model(qm, args.out)
@@ -321,7 +307,6 @@ def cmd_eval(args) -> int:
     from .data import rmse
 
     model = load_model(args.model)
-    _resolve_target(args)
     dataset = _load_windowed(args, model.config.seq_len)
     pred = _predict(model, dataset.test_X)
     value = rmse(pred, dataset.test_y, dataset)
@@ -333,7 +318,6 @@ def cmd_infer(args) -> int:
     from .data import inverse_transform
 
     model = load_model(args.model)
-    _resolve_target(args)
     dataset = _load_windowed(args, model.config.seq_len)
     X = dataset.X if args.split == "all" else dataset.test_X
     pred = _predict(model, X)
@@ -356,7 +340,6 @@ def cmd_pipeline(args) -> int:
         result = search(db, args.n, thresholds, top_k=args.top)
 
         stage = "dataset"
-        _resolve_target(args)
         dataset = _load_windowed(args, args.n)
         config = ModelConfig(seq_len=args.n, input_dim=dataset.X.shape[2], d_model=args.d_model)
 

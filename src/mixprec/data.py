@@ -167,14 +167,15 @@ def _first_bad_cell(rows: list[list[str]], header: list[str], ts_idx: int | None
 
 def ingest(
     source: str | Path,
-    target_column: str,
+    target_column: str | None = None,
     timestamp_column: str | None = None,
 ) -> TimeSeries:
     """Read a CSV into gap-free segments.
 
-    ``source`` is a path or raw CSV text. Rows with empty cells split the
-    series; with a timestamp column, gaps above 1.5x the nominal (median)
-    sampling period split it too. Non-numeric cells are an error.
+    ``source`` is a path or raw CSV text. The target column defaults to the
+    header's last column other than the timestamp. Rows with empty cells
+    split the series; with a timestamp column, gaps above 1.5x the nominal
+    (median) sampling period split it too. Non-numeric cells are an error.
 
     The csv module splits the rows; NumPy parses the complete rows' numbers
     in one call, with Python's ``float`` rules, and segments them.
@@ -186,6 +187,12 @@ def ingest(
     reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip() for h in next(reader)]
+        if target_column is None:
+            data_columns = [h for h in header if h != timestamp_column]
+            if not data_columns:
+                origin = "" if text is source else f"{source}: "
+                raise ValueError(f"{origin}the CSV header names no data column")
+            target_column = data_columns[-1]
         if target_column not in header:
             raise ValueError(f"unknown target column {target_column!r}; columns: {header}")
         if timestamp_column is not None and timestamp_column not in header:

@@ -31,6 +31,11 @@ SCHEMA_VERSION = 1
 
 # A single component entry above this is a corrupt report, not a big design.
 ENTRY_SANITY_LIMIT = Decimal("200")
+# A sum of one table's 13 rows, each entry below ENTRY_SANITY_LIMIT, is below
+# 2600: with at most this many decimal places it fits Decimal's default 28
+# digits, so every estimate is exact.
+MAX_ENTRY_PLACES = 24
+_PLACES_GRID = Decimal(1).scaleb(-MAX_ENTRY_PLACES)
 
 
 class ReportError(ValueError):
@@ -350,7 +355,18 @@ def _database_from_doc(doc) -> KnowledgeDatabase:
 
     if set(declared) != tables.keys():
         raise ValueError(f"seq_lens {sorted(declared)} disagree with entries {sorted(tables)}")
-    return KnowledgeDatabase(tables=tables, metadata=metadata)
+    db = KnowledgeDatabase(tables=tables, metadata=metadata)  # every entry finite and >= 0
+    for n, table in db.tables.items():
+        for i, v in enumerate(table.flat):
+            if v >= ENTRY_SANITY_LIMIT:
+                raise ValueError(f"{entry_name(n, i)}: {v} exceeds sanity bound "
+                                 f"{ENTRY_SANITY_LIMIT}")
+            if v != v.quantize(_PLACES_GRID):
+                raise ValueError(
+                    f"{entry_name(n, i)} {v}: its {-v.as_tuple().exponent} decimal places "
+                    f"exceed the {MAX_ENTRY_PLACES} an exact sum allows"
+                )
+    return db
 
 
 def _load_doc(doc, origin: str) -> KnowledgeDatabase:

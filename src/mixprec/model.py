@@ -3,10 +3,11 @@
 Architecture: input projection plus a fixed sinusoidal positional table, one
 encoder layer (self-attention and a feed-forward block, each followed by a
 residual add and batch normalization), global average pooling over time, and
-an output projection. ``NODES`` lists the graph's junctions and ``Dataflow``
-computes them; the float forward interprets it with plain arithmetic, and
-``quantized.py`` reinterprets it for calibration, fake quantization and
-integer-only inference.
+an output projection. ``NODES`` is the graph's one description:
+``Dataflow.run`` walks it forward, ``training.backward`` in reverse and
+``tensor_shapes`` for the parameter list. The float forward interprets it
+with plain arithmetic, and ``quantized.py`` reinterprets it for
+calibration, fake quantization and integer-only inference.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import base64
 import binascii
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -24,55 +26,6 @@ from .components import ComponentId
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-# Fixed tensor vocabulary: name -> shape builder. Weight matrices are stored
-# (fan_in, fan_out) and applied as x @ W + b.
-def tensor_shapes(config: "ModelConfig") -> dict[str, tuple[int, ...]]:
-    n, m, d, f, o = (
-        config.seq_len,
-        config.input_dim,
-        config.d_model,
-        config.ffn_dim,
-        config.output_dim,
-    )
-    return {
-        "l_input.weight": (m, d),
-        "l_input.bias": (d,),
-        "pos_encoding": (n, d),
-        "mha.wq.weight": (d, d),
-        "mha.wq.bias": (d,),
-        "mha.wk.weight": (d, d),
-        "mha.wk.bias": (d,),
-        "mha.wv.weight": (d, d),
-        "mha.wv.bias": (d,),
-        "mha.wo.weight": (d, d),
-        "mha.wo.bias": (d,),
-        "bn_mha.gamma": (d,),
-        "bn_mha.beta": (d,),
-        "bn_mha.running_mean": (d,),
-        "bn_mha.running_var": (d,),
-        "ffn.w1.weight": (d, f),
-        "ffn.w1.bias": (f,),
-        "ffn.w2.weight": (f, d),
-        "ffn.w2.bias": (d,),
-        "bn_ffn.gamma": (d,),
-        "bn_ffn.beta": (d,),
-        "bn_ffn.running_mean": (d,),
-        "bn_ffn.running_var": (d,),
-        "l_output.weight": (d, o),
-        "l_output.bias": (o,),
-    }
-
-
-# Parameters the optimizer updates (positional table and BN statistics are not
-# gradient-trained).
-def trainable_tensors(config: "ModelConfig") -> list[str]:
-    return [
-        name
-        for name in tensor_shapes(config)
-        if name != "pos_encoding" and "running_" not in name
-    ]
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -225,8 +178,9 @@ class Node:
     """One activation junction: the op that produces it, from which inputs.
 
     ``inputs`` name junctions or, for the positional table, a tensor;
-    ``layer`` is the parameter prefix of a linear, residual add or batch norm.
-    The junction is quantized at its component's bitwidth.
+    ``layer`` is the parameter prefix of a linear, residual add or batch norm;
+    ``width`` names the ``ModelConfig`` attribute giving the junction's
+    features. The junction is quantized at its component's bitwidth.
     """
 
     junction: str
@@ -234,35 +188,37 @@ class Node:
     op: str
     inputs: tuple[str, ...] = ()
     layer: str = ""
+    width: str = "d_model"
 
 
 _C = ComponentId
-# The junctions in dataflow order, the order ``Dataflow.run`` computes them.
+# The junctions in dataflow order: the order ``Dataflow.run`` computes them,
+# ``training.backward`` visits them in reverse and ``tensor_shapes`` lists
+# their parameters.
 NODES: tuple[Node, ...] = (
-    Node("input", _C.L_INPUT, "input"),
+    Node("input", _C.L_INPUT, "input", width="input_dim"),
     Node("l_input.out", _C.L_INPUT, "linear", ("input",), "l_input"),
     Node("add_pe.out", _C.ADD_PE, "add", ("l_input.out", "pos_encoding"), "add_pe"),
     Node("mha.q", _C.MHA, "linear", ("add_pe.out",), "mha.wq"),
     Node("mha.k", _C.MHA, "linear", ("add_pe.out",), "mha.wk"),
     Node("mha.v", _C.MHA, "linear", ("add_pe.out",), "mha.wv"),
-    Node("mha.scores", _C.MHA, "scores", ("mha.q", "mha.k")),
-    Node("mha.probs", _C.MHA, "softmax", ("mha.scores",)),
+    Node("mha.scores", _C.MHA, "scores", ("mha.q", "mha.k"), width="seq_len"),
+    Node("mha.probs", _C.MHA, "softmax", ("mha.scores",), width="seq_len"),
     Node("mha.context", _C.MHA, "context", ("mha.probs", "mha.v")),
     Node("mha.out", _C.MHA, "linear", ("mha.context",), "mha.wo"),
     Node("add_mha.out", _C.ADD_MHA, "add", ("add_pe.out", "mha.out"), "add_mha"),
     Node("bn_mha.out", _C.BN_MHA, "bn", ("add_mha.out",), "bn_mha"),
-    Node("ffn.hidden", _C.FFN, "linear_relu", ("bn_mha.out",), "ffn.w1"),
+    Node("ffn.hidden", _C.FFN, "linear_relu", ("bn_mha.out",), "ffn.w1", "ffn_dim"),
     Node("ffn.out", _C.FFN, "linear", ("ffn.hidden",), "ffn.w2"),
     Node("add_ffn.out", _C.ADD_FFN, "add", ("bn_mha.out", "ffn.out"), "add_ffn"),
     Node("bn_ffn.out", _C.BN_FFN, "bn", ("add_ffn.out",), "bn_ffn"),
     Node("gap.out", _C.GAP, "pool", ("bn_ffn.out",)),
-    Node("output", _C.L_OUTPUT, "linear", ("gap.out",), "l_output"),
+    Node("output", _C.L_OUTPUT, "linear", ("gap.out",), "l_output", "output_dim"),
 )
 
 JUNCTION_COMPONENT = {node.junction: node.component for node in NODES}
 # the probabilities and the ReLU output are never negative
 UNSIGNED_JUNCTIONS = {node.junction for node in NODES if node.op in ("softmax", "linear_relu")}
-LAYER_NODE = {node.layer: node for node in NODES if node.layer}
 # Each linear layer: (the junction that feeds it, which with the weight grid
 # fixes the bias grid; the junction it produces, whose grid its requantizer
 # targets).
@@ -272,6 +228,8 @@ LINEARS = {
     if node.op in ("linear", "linear_relu")
 }
 BATCH_NORMS = tuple(node.layer for node in NODES if node.op == "bn")
+# a batch norm's tensors, "<layer>.<name>", in ``fold_bn``'s argument order
+BN_TENSORS = ("gamma", "beta", "running_mean", "running_var")
 # Weight tensors and the component whose bitwidth quantizes them: a linear's
 # weight takes the component of the junction it produces, the positional
 # table that of the add reading it.
@@ -280,7 +238,43 @@ WEIGHT_COMPONENT = {
 } | {
     name: node.component for node in NODES for name in node.inputs if name not in JUNCTION_COMPONENT
 }
+# The junctions whose values the backward reads, the inputs of the linears
+# and of the two attention products, each with its count of such readers:
+# ``Dataflow.run`` caches them under their junction names and
+# ``training.backward`` frees each at its last read.
+SAVED_READS = Counter(
+    name
+    for node in NODES
+    if node.op in ("linear", "linear_relu", "scores", "context")
+    for name in node.inputs
+)
 
+
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape, in ``NODES`` order. Weight matrices
+    are stored (fan_in, fan_out) and applied as x @ W + b; a tensor an add
+    reads is one row per time step."""
+    width = {node.junction: getattr(config, node.width) for node in NODES}
+    shapes: dict[str, tuple[int, ...]] = {}
+    for node in NODES:
+        out = width[node.junction]
+        if node.op in ("linear", "linear_relu"):
+            shapes[f"{node.layer}.weight"] = (width[node.inputs[0]], out)
+            shapes[f"{node.layer}.bias"] = (out,)
+        elif node.op == "bn":
+            shapes |= {f"{node.layer}.{name}": (out,) for name in BN_TENSORS}
+        shapes |= {name: (config.seq_len, out) for name in node.inputs if name not in width}
+    return shapes
+
+
+# Parameters the optimizer updates (positional table and BN statistics are not
+# gradient-trained).
+def trainable_tensors(config: ModelConfig) -> list[str]:
+    return [
+        name
+        for name in tensor_shapes(config)
+        if name != "pos_encoding" and "running_" not in name
+    ]
 
 # Windows per eval-mode pass (``Dataflow.predict``). Eval windows are
 # independent: batch norm takes running statistics, the softmax is row-wise
@@ -299,14 +293,20 @@ EVAL_BATCH = 64
 class Dataflow:
     """The encoder graph ``NODES`` lists, computed.
 
-    ``run`` names every activation junction and passes each value through a
-    hook. Here every hook is plain float arithmetic; subclasses reinterpret
-    the same graph by overriding hooks (calibration records ranges, fake
-    quantization snaps values to grids, the integer engine computes on
-    int64 grid values). The cache ``run`` returns feeds
-    ``training.backward``, which reads straight-through masks from
-    ``cache["masks"]`` where a subclass recorded them. ``predict`` is the
-    eval-only entry point: ``run`` over ``EVAL_BATCH`` windows at a time.
+    ``run`` walks ``NODES``: each junction's value is its op's hook, the
+    method named after the op, applied to the node and its inputs' values
+    (the input node's is the model input), then passed through ``act``; an
+    add's hook snaps and records its own output instead. Here every hook is
+    plain float arithmetic; subclasses reinterpret the same graph by
+    overriding hooks (calibration records ranges, fake quantization snaps
+    values to grids, the integer engine computes on int64 grid values).
+    The cache ``run`` returns feeds
+    ``training.backward``: the ``SAVED_READS`` junction values under their
+    names, the per-op entries the backward reads (batch-norm statistics,
+    the ReLU's sign, the float softmax, the weights as applied), and the
+    straight-through masks a subclass recorded in ``cache["masks"]``.
+    ``predict`` is the eval-only entry point: ``run`` over ``EVAL_BATCH``
+    windows at a time.
     """
 
     def __init__(self, model: FloatModel):
@@ -319,52 +319,49 @@ class Dataflow:
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
         return value
 
-    def weight(self, name: str) -> np.ndarray:
-        return self.model.params[f"{name}.weight"]
+    def tensor(self, name: str) -> np.ndarray:
+        return self.model.params[name]
 
-    def bias(self, name: str) -> np.ndarray:
-        return self.model.params[f"{name}.bias"]
+    def bias(self, node: Node) -> np.ndarray:
+        return self.model.params[f"{node.layer}.bias"]
 
-    def pos_encoding(self) -> np.ndarray:
-        return self.model.params["pos_encoding"]
-
-    def linear(self, name: str, x: np.ndarray) -> np.ndarray:
-        w = self.weight(name)
-        b = self.bias(name)
-        self.cache[f"dq:{name}.weight"] = w
+    def linear(self, node: Node, x: np.ndarray) -> np.ndarray:
+        w = self.tensor(f"{node.layer}.weight")
+        b = self.bias(node)
+        self.cache[f"dq:{node.layer}.weight"] = w
         return x @ w + b
 
-    def residual_add(
-        self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
-    ) -> np.ndarray:
-        return self.act(out_junction, x1 + x2)
+    def linear_relu(self, node: Node, x: np.ndarray) -> np.ndarray:
+        h = self.linear(node, x)
+        # the backward reads only the sign, and ``h`` is the linear's fresh
+        # output, so the ReLU may overwrite it
+        self.cache[f"sign:{node.junction}"] = h > 0
+        return np.maximum(h, 0.0, out=h)
 
-    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
-        return _bn_forward(x, self.model, prefix, mode, self.cache)
+    def add(self, node: Node, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return self.act(node.junction, x1 + x2)
 
-    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def bn(self, node: Node, x: np.ndarray) -> np.ndarray:
+        return _bn_forward(x, self.model, node.layer, self.mode, self.cache)
+
+    def scores(self, node: Node, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         return (q @ k.transpose(0, 2, 1)) / math.sqrt(self.model.config.d_model)
 
-    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
+    def softmax(self, node: Node, s: np.ndarray) -> np.ndarray:
         p = softmax(s)
-        self.cache["P_float"] = p  # for the backward's softmax Jacobian
+        self.cache[f"float:{node.junction}"] = p  # for the backward's softmax Jacobian
         return p
 
-    def context(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def context(self, node: Node, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         return p @ v
 
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        # the backward reads only the sign, and ``x`` is the linear's fresh
-        # output, so the ReLU may overwrite it
-        self.cache["relu_sign"] = x > 0
-        return np.maximum(x, 0.0, out=x)
-
-    def pool(self, f: np.ndarray) -> np.ndarray:
+    def pool(self, node: Node, f: np.ndarray) -> np.ndarray:
         return f.mean(axis=1)
 
     def run(self, X: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        self.mode = mode
         # a fresh cache per run, so a batch's intermediates die with the next
         self.masks: dict[str, np.ndarray] = {}
         self.cache: dict = {"masks": self.masks}
@@ -379,33 +376,19 @@ class Dataflow:
                 f"({cfg.seq_len}, {cfg.input_dim})"
             )
 
-        x0 = self.act("input", X)
-        h = self.act("l_input.out", self.linear("l_input", x0))
-        xe = self.residual_add("add_pe", h, self.pos_encoding(), "add_pe.out")
-
-        q = self.act("mha.q", self.linear("mha.wq", xe))
-        k = self.act("mha.k", self.linear("mha.wk", xe))
-        v = self.act("mha.v", self.linear("mha.wv", xe))
-        s = self.act("mha.scores", self.scores(q, k))
-        p = self.act("mha.probs", self.softmax(s, mode))
-        ctx = self.act("mha.context", self.context(p, v))
-        mo = self.act("mha.out", self.linear("mha.wo", ctx))
-        r1 = self.residual_add("add_mha", xe, mo, "add_mha.out")
-        a = self.act("bn_mha.out", self.bn("bn_mha", r1, mode))
-
-        f1 = self.act("ffn.hidden", self.relu(self.linear("ffn.w1", a)))
-        f2 = self.act("ffn.out", self.linear("ffn.w2", f1))
-        r2 = self.residual_add("add_ffn", a, f2, "add_ffn.out")
-        f = self.act("bn_ffn.out", self.bn("bn_ffn", r2, mode))
-
-        g = self.act("gap.out", self.pool(f))
-        y = self.act("output", self.linear("l_output", g))
-
-        # what ``training.backward`` reads, and the input and output; every
-        # other intermediate dies with this call
-        self.cache.update(
-            X=X, x0=x0, Xe=xe, Q=q, K=k, V=v, P=p, ctx=ctx, A=a, F1=f1, g=g, Y=y, mode=mode,
-        )
+        values: dict[str, np.ndarray] = {}
+        for node in NODES:
+            if node.inputs:
+                args = [values[n] if n in values else self.tensor(n) for n in node.inputs]
+                value = getattr(self, node.op)(node, *args)
+            else:  # the input node takes the model input
+                value = X
+            if node.op != "add":
+                value = self.act(node.junction, value)
+            values[node.junction] = value
+            if node.junction in SAVED_READS:
+                self.cache[node.junction] = value
+        y = values[NODES[-1].junction]
         return (y[0] if single else y), self.cache
 
     def predict(self, X: np.ndarray) -> np.ndarray:

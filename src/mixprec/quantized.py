@@ -45,8 +45,8 @@ from . import training
 from .components import BitwidthCombination
 from .model import (
     BATCH_NORMS,
+    BN_TENSORS,
     JUNCTION_COMPONENT,
-    LAYER_NODE,
     LINEARS,
     NODES,
     UNSIGNED_JUNCTIONS,
@@ -54,6 +54,7 @@ from .model import (
     Dataflow,
     FloatModel,
     ModelConfig,
+    Node,
     fold_bn,
     tensor_shapes,
 )
@@ -489,12 +490,7 @@ def quantize_model(
 
     bn_folds = {}
     for prefix in BATCH_NORMS:
-        a, b = fold_bn(
-            model.params[f"{prefix}.gamma"],
-            model.params[f"{prefix}.beta"],
-            model.params[f"{prefix}.running_mean"],
-            model.params[f"{prefix}.running_var"],
-        )
+        a, b = fold_bn(*(model.params[f"{prefix}.{name}"] for name in BN_TENSORS))
         bn_folds[f"{prefix}.fold_a"] = a
         bn_folds[f"{prefix}.fold_b"] = b
 
@@ -522,7 +518,7 @@ class _IntegerEngine(Dataflow):
     """The dataflow on int64 values, each on the grid of its junction.
 
     Every op ends in the requantizer onto the grid of the junction it
-    produces, so ``act`` has nothing left to do.
+    produces, so it keeps the plain ``act``.
     """
 
     def __init__(self, qm: QuantizedModel):
@@ -545,57 +541,50 @@ class _IntegerEngine(Dataflow):
     def as_input(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.int64)
 
-    def act(self, junction: str, value: np.ndarray) -> np.ndarray:
-        return value
+    def tensor(self, name: str) -> np.ndarray:
+        return self.model.tensors[name].data
 
-    def pos_encoding(self) -> np.ndarray:
-        return self.model.tensors["pos_encoding"].data
+    def linear(self, node: Node, x: np.ndarray) -> np.ndarray:
+        x_c = self._centered(node.inputs[0], x, self.rt.dtype[node.layer])
+        acc = (x_c @ self.rt.weights[node.layer]).astype(np.int64)
+        acc += self.model.tensors[f"{node.layer}.bias"].data
+        return self._requantize(acc, self.rt.linear[node.layer], node.junction)
 
-    def linear(self, name: str, x: np.ndarray) -> np.ndarray:
-        x_junction, out_junction = LINEARS[name]
-        x_c = self._centered(x_junction, x, self.rt.dtype[name])
-        acc = (x_c @ self.rt.weights[name]).astype(np.int64)
-        acc += self.model.tensors[f"{name}.bias"].data
-        return self._requantize(acc, self.rt.linear[name], out_junction)
+    # the unsigned hidden grid has zero point 0, so the requantizer's lower
+    # clamp already is the ReLU
+    linear_relu = linear
 
-    def residual_add(
-        self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
-    ) -> np.ndarray:
+    def add(self, node: Node, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         # each addend is requantized onto the output grid before the addition
-        out = self.model.act_params[out_junction]
-        (n1, n2), (r1, r2) = LAYER_NODE[add_name].inputs, self.rt.add[add_name]
-        total = self._requantize(x1 - self.model.grid(n1).zero_point, r1, out_junction)
-        total += self._requantize(x2 - self.model.grid(n2).zero_point, r2, out_junction)
+        out = self.model.act_params[node.junction]
+        (n1, n2), (r1, r2) = node.inputs, self.rt.add[node.layer]
+        total = self._requantize(x1 - self.model.grid(n1).zero_point, r1, node.junction)
+        total += self._requantize(x2 - self.model.grid(n2).zero_point, r2, node.junction)
         total -= out.zero_point
         return _clip(total, out.q_min, out.q_max, out=total)
 
-    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
-        return self.rt.bn_table[prefix](x)
+    def bn(self, node: Node, x: np.ndarray) -> np.ndarray:
+        return self.rt.bn_table[node.layer](x)
 
-    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        dtype = self.rt.dtype["scores"]
-        k_t = self._centered("mha.k", k, dtype).transpose(0, 2, 1)
-        acc = (self._centered("mha.q", q, dtype) @ k_t).astype(np.int64)
-        return self._requantize(acc, self.rt.scores, "mha.scores")
+    def scores(self, node: Node, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        dtype, (q_name, k_name) = self.rt.dtype[node.op], node.inputs
+        k_t = self._centered(k_name, k, dtype).transpose(0, 2, 1)
+        acc = (self._centered(q_name, q, dtype) @ k_t).astype(np.int64)
+        return self._requantize(acc, self.rt.scores, node.junction)
 
-    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
-        p_fix = integer_softmax_fixed(s, self.model.act_params["mha.scores"].scale)
-        return self._requantize(p_fix, self.rt.probs, "mha.probs")
+    def softmax(self, node: Node, s: np.ndarray) -> np.ndarray:
+        p_fix = integer_softmax_fixed(s, self.model.act_params[node.inputs[0]].scale)
+        return self._requantize(p_fix, self.rt.probs, node.junction)
 
-    def context(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        dtype = self.rt.dtype["context"]
-        v_c = self._centered("mha.v", v, dtype)
-        acc = (self._centered("mha.probs", p, dtype) @ v_c).astype(np.int64)
-        return self._requantize(acc, self.rt.ctx, "mha.context")
+    def context(self, node: Node, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        dtype, (p_name, v_name) = self.rt.dtype[node.op], node.inputs
+        v_c = self._centered(v_name, v, dtype)
+        acc = (self._centered(p_name, p, dtype) @ v_c).astype(np.int64)
+        return self._requantize(acc, self.rt.ctx, node.junction)
 
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        # the unsigned hidden grid has zero point 0, so the requantizer's
-        # lower clamp already is the ReLU
-        return x
-
-    def pool(self, f: np.ndarray) -> np.ndarray:
-        acc = (f - self.model.act_params["bn_ffn.out"].zero_point).sum(axis=1)
-        return self._requantize(acc, self.rt.gap, "gap.out")
+    def pool(self, node: Node, f: np.ndarray) -> np.ndarray:
+        acc = (f - self.model.act_params[node.inputs[0]].zero_point).sum(axis=1)
+        return self._requantize(acc, self.rt.gap, node.junction)
 
 
 # --- fake-quant forward -------------------------------------------------------
@@ -622,11 +611,8 @@ class _FakeEngine(Dataflow):
 
     def _snap(self, value: np.ndarray, params: QuantParams, mask_key: str) -> np.ndarray:
         # fake_quantize gives the bits and mask of round_half_away -> clip, so
-        # the eval forward still equals the integer engine. The mask is all
-        # training.backward learns of a junction, and that one backward serves
-        # every interpretation: gradients agree exactly across them, and only
-        # its summed (batch, seq_len) weight gradients differ from an einsum
-        # reference, in the last places
+        # the eval forward still equals the integer engine; the mask is all
+        # training.backward learns of the value
         out, inside = fake_quantize(value, params)
         self.masks[mask_key] = inside
         return out
@@ -643,54 +629,44 @@ class _FakeEngine(Dataflow):
     def act(self, junction: str, value: np.ndarray) -> np.ndarray:
         return self._snap(value, self.provider(junction, value), junction)
 
-    def weight(self, name: str) -> np.ndarray:
-        params = self.weight_params[f"{name}.weight"]
-        return self._snap_tensor(super().weight(name), params, f"w:{name}")
+    def tensor(self, name: str) -> np.ndarray:
+        # a weight's mask key is its layer's: "w:mha.wq" for "mha.wq.weight"
+        mask_key = f"w:{name.removesuffix('.weight')}"
+        return self._snap_tensor(super().tensor(name), self.weight_params[name], mask_key)
 
-    def bias(self, name: str) -> np.ndarray:
+    def bias(self, node: Node) -> np.ndarray:
         # the feeding junction is always computed (hence observed) before the
         # linear that consumes it, so its parameters are available here; the
         # bias's grid follows them, so a moved input grid snaps it again
-        x_params = self.provider(LINEARS[name][0], None)
-        params = derive_bias_params(x_params, self.weight_params[f"{name}.weight"])
-        return self._snap_tensor(super().bias(name), params, f"b:{name}")
+        x_params = self.provider(node.inputs[0], None)
+        params = derive_bias_params(x_params, self.weight_params[f"{node.layer}.weight"])
+        return self._snap_tensor(super().bias(node), params, f"b:{node.layer}")
 
-    def pos_encoding(self) -> np.ndarray:
-        params = self.weight_params["pos_encoding"]
-        return self._snap_tensor(super().pos_encoding(), params, "w:pos_encoding")
-
-    def residual_add(
-        self, add_name: str, x1: np.ndarray, x2: np.ndarray, out_junction: str
-    ) -> np.ndarray:
-        params = self.provider(out_junction, x1 + x2)
-        a1 = self._snap(x1, params, f"{add_name}.a1")
-        a2 = self._snap(x2, params, f"{add_name}.a2")
+    def add(self, node: Node, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        params = self.provider(node.junction, x1 + x2)
+        a1 = self._snap(x1, params, f"{node.layer}.a1")
+        a2 = self._snap(x2, params, f"{node.layer}.a2")
         total = a1 + a2
         lo, hi = params.real_range()
-        self.masks[out_junction] = (total >= lo) & (total <= hi)
+        self.masks[node.junction] = (total >= lo) & (total <= hi)
         return np.clip(total, lo, hi)
 
-    def softmax(self, s: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "train":
-            return super().softmax(s, mode)
+    def softmax(self, node: Node, s: np.ndarray) -> np.ndarray:
+        if self.mode == "train":
+            return super().softmax(node, s)
         # the integer softmax of the integer scores, so the eval forward
         # equals the integer engine bit for bit
-        params = self.provider("mha.scores", None)
+        params = self.provider(node.inputs[0], None)
         s_q = (round_half_away(s / params.scale) + params.zero_point).astype(np.int64)
         return integer_softmax_fixed(s_q, params.scale) * 2.0**-_PROB_ACC_BITS
 
-    def bn(self, prefix: str, x: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "train":
-            return super().bn(prefix, x, mode)
+    def bn(self, node: Node, x: np.ndarray) -> np.ndarray:
+        if self.mode == "train":
+            return super().bn(node, x)
         # the folded form a*x + b, not the float normalize-then-scale: these
         # are the constants the integer path requantizes with
         p = self.model.params
-        a, b = fold_bn(
-            p[f"{prefix}.gamma"],
-            p[f"{prefix}.beta"],
-            p[f"{prefix}.running_mean"],
-            p[f"{prefix}.running_var"],
-        )
+        a, b = fold_bn(*(p[f"{node.layer}.{name}"] for name in BN_TENSORS))
         return a * x + b
 
 

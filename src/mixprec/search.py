@@ -18,7 +18,7 @@ import functools
 import re
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +63,13 @@ class Thresholds:
 
     @classmethod
     def of(cls, t_luts, t_dram, t_bram, t_dsps) -> "Thresholds":
-        return cls(
-            Decimal(str(t_luts)), Decimal(str(t_dram)),
-            Decimal(str(t_bram)), Decimal(str(t_dsps)),
-        )
+        values = dict(t_luts=t_luts, t_dram=t_dram, t_bram=t_bram, t_dsps=t_dsps)
+        for name, raw in values.items():
+            try:
+                values[name] = Decimal(str(raw))
+            except InvalidOperation:
+                raise ValueError(f"threshold {name}: {str(raw)!r} is not a number") from None
+        return cls(**values)
 
     def __getitem__(self, kind: ResourceKind) -> Decimal:
         return getattr(self, "t_" + kind.value)
@@ -199,26 +202,24 @@ def _utilization(
     values = [*table.flat, *(thresholds[kind] for kind in RESOURCE_ORDER)]
     digits = [_decimal_places(v) for v in values]
     places = max(digits)
-    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=object)
-    tables = scaled[: table.size].reshape(table.shape)
     # entries are >= 0, so no partial sum of a row, overhead included,
     # exceeds the sum of the per-component maxima
-    worst = tables.max(axis=2).sum(axis=0)
-    if (worst > _INT64_MAX).any():
+    worst = table.max(axis=2).sum(axis=0)
+    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)):  # exact at any places
+        too_wide = max(worst) > Decimal(_INT64_MAX).scaleb(-places)
+    if too_wide:
         names = [*(entry_name(seq_len, i) for i in range(table.size)),
                  *(f"threshold t_{kind.value}" for kind in RESOURCE_ORDER)]
-        if not places:
-            i = int(np.argmax(table))  # the first largest entry
-            raise ValueError(
-                f"{names[i]} {values[i]} is too large: utilization sums overflow 64 bits")
         i = digits.index(places)
         raise ValueError(
             f"{names[i]} {values[i]}: its {places} decimal places put the utilization sums on the "
             f"denominator 10^{places}, where they overflow 64 bits"
         )
-    # a threshold above every possible sum passes every row, as that bound does
-    limit = np.minimum(scaled[table.size:], worst).astype(np.int64)
-    tables = tables.astype(np.int64)
+    # a threshold above every possible sum passes every row, as that bound
+    # does; clamped before it is scaled, however large it is
+    values[table.size:] = map(min, values[table.size:], worst)
+    scaled = np.array([int(v.scaleb(places)) for v in values], dtype=object).astype(np.int64)
+    tables, limit = scaled[:table.size].reshape(table.shape), scaled[table.size:]
     sums = _kronecker(tables[:NUM_KEY_COMPONENTS])
     if opts.include_overhead:
         sums += tables[NUM_KEY_COMPONENTS:].sum(axis=0)[:, _enumeration()[1]]

@@ -1,5 +1,7 @@
 """Training loop for the forecasting model: manual backprop, Adam, early stop.
 
+The backward walks ``model.NODES`` in reverse, one gradient rule per op.
+
 The learning rate halves every three epochs; early stopping restores the
 parameters of the best validation epoch. Everything is deterministic given
 the config seed.
@@ -21,7 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .components import BitwidthCombination
-from .model import BATCH_NORMS, Dataflow, FloatModel, forward_float, trainable_tensors
+from .model import (
+    JUNCTION_COMPONENT,
+    NODES,
+    SAVED_READS,
+    Dataflow,
+    FloatModel,
+    Node,
+    forward_float,
+    trainable_tensors,
+)
 
 
 # Fixed by the method, not per run: Adam's moments and epsilon, the halving
@@ -104,12 +115,15 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     pass of ``model.Dataflow`` or any of its interpretations.
 
     ``dY`` is the loss gradient at the output, shape (batch, output_dim).
-    Every quantize-dequantize (and add clamp) the forward recorded in
-    ``cache["masks"]`` passes the gradient only where it was inside its
-    range; rounding counts as identity, and a junction with no mask (all of
-    them in the float forward) passes the gradient unchanged. The positional
-    table's gradient is computed too (it is simply excluded from optimizer
-    updates).
+    The backward visits ``NODES`` in reverse with one gradient rule per op.
+    A junction several nodes read gets the sum of their parts, the last
+    reader's first and then the others in ``NODES`` order (at ``add_pe.out``:
+    ((add_mha + q) + k) + v). Every quantize-dequantize (and add clamp) the
+    forward recorded in ``cache["masks"]`` passes the gradient only where it
+    was inside its range; rounding counts as identity, and a junction with no
+    mask (all of them in the float forward) passes the gradient unchanged.
+    The positional table's gradient is computed too (it is simply excluded
+    from optimizer updates); the model input's is not.
 
     Every interpretation (float and fake-quant) runs this one
     function, so a given cache gets the same gradient bits whichever forward
@@ -123,19 +137,23 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
     Every gradient takes the parameters' dtype: float32 in the training
     loop, float64 for a stored model.
 
-    The backward consumes ``cache``: the FFN block's activations (the
-    largest) leave it once read, so they are freed before the attention
-    block's gradients are allocated.
+    The backward consumes ``cache``: each entry leaves it at its last read,
+    so the FFN block's activations (the largest) are freed before the
+    attention block's gradients are allocated.
     """
     p = model.params
     masks = cache["masks"]
-    d = model.config.d_model
     n = model.config.seq_len
     grads: dict[str, np.ndarray] = {}
-    dtype = p["l_output.weight"].dtype  # float32 in the training loop
-    dY = np.array(dY, dtype=dtype)  # a copy: it is masked in place
+    dY = np.array(dY, dtype=np.result_type(*p.values()))  # a copy: it is masked in place
     if dY.ndim == 1:
         dY = dY[None]
+    reads_left = SAVED_READS.copy()
+
+    def saved(junction: str) -> np.ndarray:
+        """A junction's value from the cache, which its last read frees."""
+        reads_left[junction] -= 1
+        return cache[junction] if reads_left[junction] else cache.pop(junction)
 
     def mask(key: str, grad: np.ndarray, shared: bool = False) -> np.ndarray:
         """``grad`` through the straight-through mask recorded under ``key``,
@@ -151,60 +169,73 @@ def backward(model: FloatModel, cache: dict, dY: np.ndarray) -> dict[str, np.nda
             grad *= masks[key]
         return grad
 
-    def linear_back(name: str, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-        """Weight and bias gradients of ``x @ w + b``; returns the input's."""
+    # Each rule takes a node and its junction's gradient, stores its
+    # parameters' gradients and returns its inputs' (None where unneeded).
+
+    def linear(node: Node, d: np.ndarray) -> tuple:
+        x = saved(node.inputs[0])
         # one BLAS matmul over the (batch * seq_len) rows; a no-op reshape in 2-D
-        d_w = x.reshape(-1, x.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
-        grads[f"{name}.weight"] = mask(f"w:{name}", d_w)
-        d_b = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
-        grads[f"{name}.bias"] = mask(f"b:{name}", d_b)
-        return d_out @ cache[f"dq:{name}.weight"].T
+        d_w = x.reshape(-1, x.shape[-1]).T @ d.reshape(-1, d.shape[-1])
+        grads[f"{node.layer}.weight"] = mask(f"w:{node.layer}", d_w)
+        d_b = d.sum(axis=tuple(range(d.ndim - 1)))
+        grads[f"{node.layer}.bias"] = mask(f"b:{node.layer}", d_b)
+        weight = cache.pop(f"dq:{node.layer}.weight")
+        return (None,) if node.inputs[0] == NODES[0].junction else (d @ weight.T,)
 
-    dg = linear_back("l_output", cache["g"], mask("output", dY))
-    dF = np.repeat(mask("gap.out", dg)[:, None, :], n, axis=1) / n
+    def linear_relu(node: Node, d: np.ndarray) -> tuple:
+        d *= cache.pop(f"sign:{node.junction}")  # ``d`` is this junction's alone
+        return linear(node, d)
 
-    dR2, grads["bn_ffn.gamma"], grads["bn_ffn.beta"] = _bn_backward(
-        mask("bn_ffn.out", dF), cache["bn_ffn"], p["bn_ffn.gamma"]
-    )
-    dR2 = mask("add_ffn.out", dR2)
-    dA = mask("add_ffn.a1", dR2, shared=True)
-    dF1 = linear_back("ffn.w2", cache.pop("F1"), mask("ffn.out", mask("add_ffn.a2", dR2)))
-    dF1 = mask("ffn.hidden", dF1)
-    dF1 *= cache.pop("relu_sign")
-    dA = dA + linear_back("ffn.w1", cache.pop("A"), dF1)
-    del dF1
+    def add(node: Node, d: np.ndarray) -> tuple:
+        # only the last addend may take ``d`` itself, masked in place
+        count = len(node.inputs)
+        return tuple(mask(f"{node.layer}.a{i}", d, shared=i < count) for i in range(1, count + 1))
 
-    dR1, grads["bn_mha.gamma"], grads["bn_mha.beta"] = _bn_backward(
-        mask("bn_mha.out", dA), cache["bn_mha"], p["bn_mha.gamma"]
-    )
-    dR1 = mask("add_mha.out", dR1)
-    dXe = mask("add_mha.a1", dR1, shared=True)
-    d_ctx = linear_back("mha.wo", cache["ctx"], mask("mha.out", mask("add_mha.a2", dR1)))
+    def bn(node: Node, d: np.ndarray) -> tuple:
+        dx, grads[f"{node.layer}.gamma"], grads[f"{node.layer}.beta"] = _bn_backward(
+            d, cache.pop(node.layer), p[f"{node.layer}.gamma"]
+        )
+        return (dx,)
 
-    d_ctx = mask("mha.context", d_ctx)
-    P, V, Q, K = cache["P"], cache["V"], cache["Q"], cache["K"]
-    dP = mask("mha.probs", d_ctx @ V.transpose(0, 2, 1))
-    dV = P.transpose(0, 2, 1) @ d_ctx
-    Pf = cache["P_float"]
-    dS = mask("mha.scores", Pf * (dP - (dP * Pf).sum(axis=-1, keepdims=True)))
-    scale = 1.0 / math.sqrt(d)
-    dQ = (dS @ K) * scale
-    dK = (dS.transpose(0, 2, 1) @ Q) * scale
+    def scores(node: Node, d: np.ndarray) -> tuple:
+        q, k = (saved(name) for name in node.inputs)
+        scale = 1.0 / math.sqrt(model.config.d_model)
+        return (d @ k) * scale, (d.transpose(0, 2, 1) @ q) * scale
 
-    for name, junction, dT in (("mha.wq", "mha.q", dQ), ("mha.wk", "mha.k", dK),
-                               ("mha.wv", "mha.v", dV)):
-        dXe = dXe + linear_back(name, cache["Xe"], mask(junction, dT))
+    def softmax(node: Node, d: np.ndarray) -> tuple:
+        p_float = cache.pop(f"float:{node.junction}")
+        return (p_float * (d - (d * p_float).sum(axis=-1, keepdims=True)),)
 
-    dXe = mask("add_pe.out", dXe)
-    d_pe = mask("w:pos_encoding", mask("add_pe.a2", dXe, shared=True))
-    grads["pos_encoding"] = d_pe.sum(axis=0)
-    linear_back("l_input", cache["x0"], mask("l_input.out", mask("add_pe.a1", dXe)))
+    def context(node: Node, d: np.ndarray) -> tuple:
+        probs, v = (saved(name) for name in node.inputs)
+        return d @ v.transpose(0, 2, 1), probs.transpose(0, 2, 1) @ d
 
-    # running statistics carry no gradient
-    for prefix in BATCH_NORMS:
-        grads[f"{prefix}.running_mean"] = np.zeros(d, dtype)
-        grads[f"{prefix}.running_var"] = np.zeros(d, dtype)
-    return grads
+    def pool(node: Node, d: np.ndarray) -> tuple:
+        return (np.repeat(d[:, None, :], n, axis=1) / n,)
+
+    rules = {rule.__name__: rule for rule in (
+        linear, linear_relu, add, bn, scores, softmax, context, pool)}
+
+    # each junction's gradient parts, in the order its readers sent them
+    received: dict[str, list[np.ndarray]] = {NODES[-1].junction: [dY]}
+
+    def gradient(junction: str) -> np.ndarray:
+        """The junction's gradient through its mask. Its readers' parts
+        arrive in reverse ``NODES`` order; the sum takes the last reader's
+        first, then the others in ``NODES`` order."""
+        last, *others = received.pop(junction)
+        for part in reversed(others):
+            last = last + part
+        return mask(junction, last)
+
+    for node in reversed(NODES[1:]):  # nothing reads the model input's gradient
+        for name, part in zip(node.inputs, rules[node.op](node, gradient(node.junction))):
+            if name not in JUNCTION_COMPONENT:  # a tensor, broadcast over the batch
+                grads[name] = mask(f"w:{name}", part).sum(axis=0)
+            elif part is not None:
+                received.setdefault(name, []).append(part)
+    # the running statistics carry no gradient
+    return grads | {name: np.zeros_like(t) for name, t in p.items() if name not in grads}
 
 
 class Adam:
@@ -253,8 +284,10 @@ def train(
 
     ``dataset`` provides train_X (pairs, n, m) and train_y (pairs,) in
     normalized units; the final 10% (time-ordered) is held out for early
-    stopping.
+    stopping. ``cfg.qat`` must be None: ``train_qat`` trains at a combination.
     """
+    if cfg.qat is not None:
+        raise ValueError("train trains in float, so cfg.qat must be None; use train_qat")
     _keep_heap()
     return _run_to_end(_train_loop(model, dataset, cfg, _FloatContext()))[:2]
 

@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 
 from mixprec import cli
 from mixprec.cli import USAGE_ERROR, _emit, run
-from mixprec.components import ALL_COMPONENTS
+from mixprec.components import ALL_COMPONENTS, BitwidthCombination
 from mixprec.data import make_synthetic
+from mixprec.estimator import EstimateOptions, estimate
 from mixprec.knowledge import bundled_database, load, save
 from mixprec.model import JUNCTION_COMPONENT, ModelConfig, init, load_model, save_model
 from mixprec.search import Thresholds, search
@@ -321,6 +323,71 @@ class TestEstimateAndSearch:
         huge.pop("runtime_seconds"), plain.pop("runtime_seconds")
         assert huge == plain
 
+    def test_threshold_beyond_decimal_exponents_passes_all(self, kb_path, capsys):
+        # clamped to the largest possible sum before it is scaled
+        argv = ["search", "--kb", kb_path, "--n", "12", "--t-dram", "100", "--t-bram", "100",
+                "--t-dsps", "100"]
+        huge = run_json(capsys, [*argv, "--t-luts", "1e999999999"])
+        plain = run_json(capsys, [*argv, "--t-luts", "1E+400"])
+        huge.pop("runtime_seconds"), plain.pop("runtime_seconds")
+        assert huge == plain
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--t-luts", "abc", "threshold t_luts: 'abc' is not a number"),
+        ("--t-dsps", "1..5", "threshold t_dsps: '1..5' is not a number"),
+        ("--t-luts", "1e-999999999",
+         "threshold t_luts 1E-999999999: its 999999999 decimal places"),
+    ])
+    def test_bad_threshold_names_the_flag(self, kb_path, data_path, tmp_path, capsys, command,
+                                          flag, value, named):
+        thresholds = {"--t-luts": "80", "--t-dram": "100", "--t-bram": "100", "--t-dsps": "100"}
+        argv = [command, "--kb", kb_path, "--n", "12"]
+        argv += [part for pair in (thresholds | {flag: value}).items() for part in pair]
+        if command == "pipeline":
+            argv += ["--data", data_path, "--d-model", "8", "--epochs", "1", "--patience", "1",
+                     "--out-dir", str(tmp_path / "run")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value, named", [
+        ("1e999999999", "entries.12.mha.luts.4: 1E+999999999 exceeds sanity bound 200"),
+        ("200", "entries.12.mha.luts.4: 200 exceeds sanity bound 200"),
+        ("1.923456789012345678901234567891",
+         "entries.12.mha.luts.4 1.923456789012345678901234567891: its 30 decimal places "
+         "exceed the 24 an exact sum allows"),
+    ], ids=["huge", "at-bound", "30-places"])
+    @pytest.mark.parametrize("command", ["kb-validate", "estimate", "search"])
+    def test_entry_a_sum_cannot_hold_exactly_is_refused(self, kb_path, tmp_path, capsys,
+                                                        value, named, command):
+        doc = json.loads(Path(kb_path).read_text())
+        doc["entries"]["12"]["mha"]["luts"]["4"] = value
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        argv = {
+            "kb-validate": ["kb", "validate", str(kb)],
+            "estimate": ["estimate", "--kb", str(kb), "--n", "12",
+                         "--combo", "4,4,4,4,4,4,4,4,4,4"],
+            "search": ["search", "--kb", str(kb), "--n", "12", "--t-luts", "80",
+                       "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {kb}: {named}\n"
+
+    def test_estimate_of_13_entries_at_24_places_is_exact(self, kb_path, tmp_path):
+        # the widest loadable sum, 13 entries just under 200 at 24 places,
+        # has 28 significant digits: Decimal's default precision holds it
+        doc = json.loads(Path(kb_path).read_text())
+        entry = "199.999999999999999999999999"
+        for comp in ALL_COMPONENTS:
+            doc["entries"]["12"][comp.value]["luts"]["4"] = entry
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        vec = estimate(load(kb), 12, BitwidthCombination.uniform(4),
+                       EstimateOptions(include_overhead=True))
+        assert Fraction(vec.luts) == 13 * Fraction(entry)
+
 
 class TestModelCommands:
     def train_args(self, data_path, out, extra=()):
@@ -371,6 +438,19 @@ class TestModelCommands:
         capsys.readouterr()
         plain = run_json(capsys, ["eval", "--model", str(qmodel), "--data", data_path])
         assert run_json(capsys, ["eval", "--model", str(qmodel), "--data", str(quoted)]) == plain
+
+    def test_default_target_reads_the_csv_once(self, data_path, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.json"
+        assert run(self.train_args(data_path, model)) == 0
+        reads, read_text = [], Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: (
+            reads.append(str(self)) or read_text(self, *args, **kwargs)))
+        capsys.readouterr()
+        with_default = run_json(capsys, ["eval", "--model", str(model), "--data", data_path])
+        assert reads.count(data_path) == 1
+        named = run_json(capsys, ["eval", "--model", str(model), "--data", data_path,
+                                  "--target", "target"])
+        assert with_default == named
 
     def test_header_without_data_column_is_data_error(self, data_path, tmp_path, capsys):
         model, data = tmp_path / "model.json", tmp_path / "stamps.csv"

@@ -61,6 +61,16 @@ class TestIngest:
         with pytest.raises(ValueError, match="expected 3 cells"):
             ingest(csv_of(["1,1,1", "2,2"]), target_column="target")
 
+    def test_target_defaults_to_the_last_data_column(self, tmp_path):
+        rows = ["1,2,3", "4,5,6"]
+        assert ingest(csv_of(rows)).target_column == "target"
+        stamped = ingest(csv_of(rows, "a,target,ts"), timestamp_column="ts")
+        assert stamped.target_column == "target" and stamped.columns == ["a", "target"]
+        p = tmp_path / "stamps.csv"
+        p.write_text("ts\n1\n2\n")
+        with pytest.raises(ValueError, match=f"^{p}: the CSV header names no data column$"):
+            ingest(p, timestamp_column="ts")
+
     def test_path_source(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text(csv_of(["1,2,3", "4,5,6"]))

@@ -17,7 +17,7 @@ import float_reference
 import numpy as np
 import pytest
 
-from mixprec.model import Dataflow, ModelConfig, init
+from mixprec.model import BATCH_NORMS, SAVED_READS, Dataflow, ModelConfig, init
 from mixprec.quantized import collect_ranges
 from mixprec.training import backward
 
@@ -29,7 +29,8 @@ UNIT_ROUNDOFF = 2.0**-53
 # linears whose input is (batch, seq_len, features); l_output's is (batch, d_model)
 SUMMED_WEIGHT_GRADS = ("l_input", "mha.wq", "mha.wk", "mha.wv", "mha.wo", "ffn.w1", "ffn.w2")
 
-# The reference cache's tensor for each junction's value.
+# The reference cache's tensor for each junction's value; the library's
+# cache keeps the ``SAVED_READS`` junctions under their own names.
 JUNCTION_CACHE_KEY = {
     "input": "X",
     "l_input.out": "H",
@@ -64,9 +65,11 @@ class JunctionRecorder(Dataflow):
         self.values[junction] = value
         return value
 
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        self.values["F1_pre"] = x.copy()  # the float ReLU overwrites its input
-        return super().relu(x)
+    def linear(self, node, x: np.ndarray) -> np.ndarray:
+        out = super().linear(node, x)
+        if node.op == "linear_relu":
+            self.values["F1_pre"] = out.copy()  # the float ReLU overwrites it
+        return out
 
 
 def trained_looking_model(seed: int, cfg: ModelConfig = CFG):
@@ -121,15 +124,21 @@ def compare_with_reference(cfg: ModelConfig, batch: int | None, mode: str) -> fl
     recorder = JunctionRecorder(new_model)
     y_new, cache_new = recorder.run(X, mode)
     assert np.array_equal(y_ref, y_new)
-    # every reference tensor is checked: each junction's value and the
-    # ReLU's input as the forward computed them, and every entry the
-    # library's cache still holds (all that the backward reads)
+    # every reference entry is checked: each junction's value and the
+    # ReLU's input as the forward computed them, the batch-norm entries and
+    # the mode; and the library's cache, which holds all that the backward
+    # reads, against the reference through JUNCTION_CACHE_KEY
     recorded = {key: recorder.values[junction] for junction, key in JUNCTION_CACHE_KEY.items()}
     recorded["F1_pre"] = recorder.values["F1_pre"]
-    assert set(cache_ref) <= set(recorded) | set(cache_new)
+    assert set(cache_ref) == set(recorded) | set(BATCH_NORMS) | {"mode"}
+    assert cache_ref["mode"] == mode
     assert_same({k: cache_ref[k] for k in recorded}, recorded, "junctions")
-    assert_same({k: v for k, v in cache_ref.items() if k in cache_new}, cache_new, "cache")
-    assert np.array_equal(cache_new["relu_sign"], cache_ref["F1_pre"] > 0)
+    assert_same({k: cache_ref[k] for k in BATCH_NORMS}, cache_new, "batch norms")
+    cached = {j: cache_new[j] for j in JUNCTION_CACHE_KEY if j in cache_new}
+    assert set(cached) == set(SAVED_READS)
+    assert_same({j: cache_ref[JUNCTION_CACHE_KEY[j]] for j in cached}, cached, "cache")
+    assert np.array_equal(cache_new["sign:ffn.hidden"], cache_ref["F1_pre"] > 0)
+    assert np.array_equal(cache_new["float:mha.probs"], cache_ref["P"])
     # train mode moves the batch-norm running statistics in place
     assert_same(ref_model.params, new_model.params, "params")
 

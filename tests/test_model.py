@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -62,7 +63,54 @@ def reference_forward(model: FloatModel, X: np.ndarray) -> np.ndarray:
     return g @ p["l_output.weight"] + p["l_output.bias"]
 
 
+def written_out_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter list as it was spelled out before ``tensor_shapes``
+    derived it from ``NODES``, frozen here."""
+    n, m, d, f, o = (
+        config.seq_len, config.input_dim, config.d_model, config.ffn_dim, config.output_dim,
+    )
+    return {
+        "l_input.weight": (m, d), "l_input.bias": (d,),
+        "pos_encoding": (n, d),
+        "mha.wq.weight": (d, d), "mha.wq.bias": (d,),
+        "mha.wk.weight": (d, d), "mha.wk.bias": (d,),
+        "mha.wv.weight": (d, d), "mha.wv.bias": (d,),
+        "mha.wo.weight": (d, d), "mha.wo.bias": (d,),
+        "bn_mha.gamma": (d,), "bn_mha.beta": (d,),
+        "bn_mha.running_mean": (d,), "bn_mha.running_var": (d,),
+        "ffn.w1.weight": (d, f), "ffn.w1.bias": (f,),
+        "ffn.w2.weight": (f, d), "ffn.w2.bias": (d,),
+        "bn_ffn.gamma": (d,), "bn_ffn.beta": (d,),
+        "bn_ffn.running_mean": (d,), "bn_ffn.running_var": (d,),
+        "l_output.weight": (d, o), "l_output.bias": (o,),
+    }
+
+
+# (seq_len, input_dim, d_model, output_dim), seed, and the SHA-256 of every
+# initialized tensor's name and bytes in parameter-list order, as ``init``
+# drew them when the parameter list was written out by hand
+INIT_DIGESTS = [
+    ((12, 3, 64, 1), 7, "0ba0f4a8c2aab55bc8697544eaf7e2ed5db600be13da3d707a5cd6081260e24c"),
+    ((6, 1, 8, 1), 0, "76f5c3b461f58388cfa49ce5c4b72a510d7356464c0b4e05191f00b228bd501f"),
+    ((24, 5, 16, 2), 42, "ad234cd3d4c0dffab85bcd741a8f6e8cf33887a7a7c420bc1892a11f25d7d305"),
+]
+
+
 class TestInit:
+    @pytest.mark.parametrize("dims", [dims for dims, _, _ in INIT_DIGESTS])
+    def test_parameter_list_walks_the_graph_in_the_written_out_order(self, dims):
+        cfg = ModelConfig(*dims[:3], output_dim=dims[3])
+        assert list(tensor_shapes(cfg).items()) == list(written_out_shapes(cfg).items())
+
+    @pytest.mark.parametrize("dims, seed, digest", INIT_DIGESTS)
+    def test_init_draws_the_same_bits(self, dims, seed, digest):
+        model = init(ModelConfig(*dims[:3], output_dim=dims[3]), seed)
+        h = hashlib.sha256()
+        for name, tensor in model.params.items():
+            h.update(name.encode())
+            h.update(tensor.tobytes())
+        assert h.hexdigest() == digest
+
     def test_deterministic(self):
         cfg = ModelConfig(seq_len=12, input_dim=5)
         a, b = init(cfg, rng_seed=42), init(cfg, rng_seed=42)
@@ -143,7 +191,7 @@ class TestForward:
         model = init(cfg, 5)
         X = np.random.default_rng(6).normal(size=(3, 12, 5))
         _, cache = forward_float(model, X)
-        sums = cache["P"].sum(axis=-1)
+        sums = cache["mha.probs"].sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= 1e-6)
 
     def test_batched_matches_single(self):
@@ -233,9 +281,9 @@ class TestShapeDiscipline:
         X = np.random.default_rng(0).normal(size=(batch, n, m))
         Y, cache = forward_float(model, X)
         assert Y.shape == (batch, output_dim)
-        assert cache["Xe"].shape == (batch, n, d_model)
-        assert cache["P"].shape == (batch, n, n)
-        assert cache["F1"].shape == (batch, n, cfg.ffn_dim)
-        assert cache["g"].shape == (batch, d_model)
+        assert cache["add_pe.out"].shape == (batch, n, d_model)
+        assert cache["mha.probs"].shape == (batch, n, n)
+        assert cache["ffn.hidden"].shape == (batch, n, cfg.ffn_dim)
+        assert cache["gap.out"].shape == (batch, d_model)
         for name, shape in tensor_shapes(cfg).items():
             assert model.params[name].shape == shape

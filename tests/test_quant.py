@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixprec.components import VALID_BITWIDTHS, BitwidthCombination
-from mixprec.model import LAYER_NODE, LINEARS, ModelConfig, init
+from mixprec.model import LINEARS, NODES, ModelConfig, init
 from mixprec.quant import (
     QuantParams,
     QuantScheme,
@@ -357,7 +357,8 @@ class TestCascadePlan:
         qm = quantized_at(BitwidthCombination.parse("6,8,6,8,6,6,8,8,8,8"))
 
         def addend_widths(add: str) -> tuple[int, ...]:
-            return tuple(qm.grid(name).bitwidth for name in LAYER_NODE[add].inputs)
+            (node,) = (node for node in NODES if node.layer == add)
+            return tuple(qm.grid(name).bitwidth for name in node.inputs)
 
         assert addend_widths("add_mha") == (8, 6)  # (skip from add_pe, main from mha)
         assert qm.grid("add_mha.out").bitwidth == 8

@@ -300,6 +300,11 @@ class TestQat:
         with pytest.raises(ValueError, match="cfg.qat"):
             train_qat(init(CFG, 1), self.toy(), TrainConfig(epochs=1, patience=1))
 
+    def test_float_training_refuses_a_combination(self):
+        cfg = TrainConfig(epochs=1, patience=1, qat=BitwidthCombination.uniform(4))
+        with pytest.raises(ValueError, match="cfg.qat"):
+            train(init(CFG, 1), self.toy(), cfg)
+
     def test_qat_8bit_val_loss_near_float(self):
         ds = self.toy(pairs=600, seed=1)
         cfg = TrainConfig(epochs=12, patience=12, batch_size=64, lr=0.005, seed=4)
