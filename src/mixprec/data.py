@@ -15,6 +15,7 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import read_utf8
 
@@ -178,20 +179,28 @@ def ingest(
     (median) sampling period split it too. Non-numeric cells are an error.
 
     The csv module splits the rows; NumPy parses the complete rows' numbers
-    in one call, with Python's ``float`` rules, and segments them.
+    in one call, with Python's ``float`` rules, and segments them. Read
+    from a path, every error message starts with that path.
     """
     if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source):
         text = read_utf8(source)
-    else:
-        text = source
+        try:
+            return _parse_csv(text, target_column, timestamp_column)
+        except ValueError as e:
+            raise ValueError(f"{source}: {e}") from None
+    return _parse_csv(source, target_column, timestamp_column)
+
+
+def _parse_csv(
+    text: str, target_column: str | None, timestamp_column: str | None
+) -> TimeSeries:
     reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip() for h in next(reader)]
         if target_column is None:
             data_columns = [h for h in header if h != timestamp_column]
             if not data_columns:
-                origin = "" if text is source else f"{source}: "
-                raise ValueError(f"{origin}the CSV header names no data column")
+                raise ValueError("the CSV header names no data column")
             target_column = data_columns[-1]
         if target_column not in header:
             raise ValueError(f"unknown target column {target_column!r}; columns: {header}")
@@ -252,12 +261,8 @@ def window(series: TimeSeries, n: int, split: float | int = 0.1) -> WindowedData
     if not usable:
         raise ValueError(f"every segment is shorter than n+1 = {n + 1}; no pairs")
 
-    pair_segments = []  # (segment, target_indices)
-    total = 0
-    for seg in usable:
-        idx = np.arange(n, len(seg))
-        pair_segments.append((seg, idx))
-        total += len(idx)
+    pairs = [len(seg) - n for seg in usable]  # targets are rows n .. len - 1
+    total = sum(pairs)
 
     if isinstance(split, float):
         if not 0 <= split < 1:
@@ -274,22 +279,23 @@ def window(series: TimeSeries, n: int, split: float | int = 0.1) -> WindowedData
     # including the last training target
     fit_rows = []
     seen = 0
-    for seg, idx in pair_segments:
-        in_train = min(max(train_count - seen, 0), len(idx))
+    for seg, count in zip(usable, pairs):
+        in_train = min(max(train_count - seen, 0), count)
         if in_train > 0:
-            last_target = idx[in_train - 1]
-            fit_rows.append(seg[: last_target + 1])
-        seen += len(idx)
+            fit_rows.append(seg[: n + in_train])
+        seen += count
     scaler = MinMaxScaler().fit(np.concatenate(fit_rows))
 
+    # per segment, the window of target row t is rows t-n .. t-1: every
+    # n-row view but the last, as (pairs, n, features)
     X_parts, y_parts = [], []
     t_idx = series.target_index
-    for seg, idx in pair_segments:
+    for seg in usable:
         norm = scaler.transform(seg)
-        X_parts.extend(norm[t - n : t] for t in idx)
-        y_parts.extend(norm[t, t_idx] for t in idx)
-    X = np.stack(X_parts)
-    y = np.array(y_parts)
+        X_parts.append(sliding_window_view(norm, n, axis=0)[:-1].transpose(0, 2, 1))
+        y_parts.append(norm[n:, t_idx])
+    X = np.concatenate(X_parts)
+    y = np.concatenate(y_parts)
     return WindowedDataset(
         X=X,
         y=y,

@@ -250,12 +250,32 @@ class KnowledgeDatabase:
                      VALID_BITWIDTHS.index(bitwidth)]
 
 
+def check_entries(db: KnowledgeDatabase) -> KnowledgeDatabase:
+    """``db``, if every entry obeys the rule of a stored database: finite and
+    >= 0 (``KnowledgeDatabase`` checks that on construction), below
+    ``ENTRY_SANITY_LIMIT``, with at most ``MAX_ENTRY_PLACES`` decimal places.
+    Otherwise ValueError naming the entry's ``entry_name``."""
+    for n, table in db.tables.items():
+        for i, v in enumerate(table.flat):
+            if v >= ENTRY_SANITY_LIMIT:
+                raise ValueError(f"{entry_name(n, i)}: {v} exceeds sanity bound "
+                                 f"{ENTRY_SANITY_LIMIT}")
+            if v != v.quantize(_PLACES_GRID):
+                raise ValueError(
+                    f"{entry_name(n, i)} {v}: its {-v.as_tuple().exponent} decimal places "
+                    f"exceed the {MAX_ENTRY_PLACES} an exact sum allows"
+                )
+    return db
+
+
 def aggregate(reports: list[SynthesisReport], source: str = "aggregated reports") -> KnowledgeDatabase:
     """Build a database by taking per-entry medians over matching reports.
 
     For an even report count the median is the arithmetic mean of the two
     central values. Every bitwidth of a covered seq_len must have at least
-    one report.
+    one report. Every median must obey ``check_entries``'s rule, as in a
+    loaded database: the mean of two values can carry one decimal place
+    more than either.
     """
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
@@ -281,7 +301,7 @@ def aggregate(reports: list[SynthesisReport], source: str = "aggregated reports"
 
     counts = {f"{n}/{b}": len(group) for (n, b), group in sorted(cells.items())}
     metadata = {"source": source, "report_counts": counts}
-    return KnowledgeDatabase(tables=tables, metadata=metadata)
+    return check_entries(KnowledgeDatabase(tables=tables, metadata=metadata))
 
 
 def table_doc(table: np.ndarray, components=ALL_COMPONENTS) -> dict:
@@ -355,18 +375,7 @@ def _database_from_doc(doc) -> KnowledgeDatabase:
 
     if set(declared) != tables.keys():
         raise ValueError(f"seq_lens {sorted(declared)} disagree with entries {sorted(tables)}")
-    db = KnowledgeDatabase(tables=tables, metadata=metadata)  # every entry finite and >= 0
-    for n, table in db.tables.items():
-        for i, v in enumerate(table.flat):
-            if v >= ENTRY_SANITY_LIMIT:
-                raise ValueError(f"{entry_name(n, i)}: {v} exceeds sanity bound "
-                                 f"{ENTRY_SANITY_LIMIT}")
-            if v != v.quantize(_PLACES_GRID):
-                raise ValueError(
-                    f"{entry_name(n, i)} {v}: its {-v.as_tuple().exponent} decimal places "
-                    f"exceed the {MAX_ENTRY_PLACES} an exact sum allows"
-                )
-    return db
+    return check_entries(KnowledgeDatabase(tables=tables, metadata=metadata))
 
 
 def _load_doc(doc, origin: str) -> KnowledgeDatabase:

@@ -28,10 +28,13 @@ every combination takes float32 (the widest, the FFN's second linear at
 uniform 8, sums 256 * 255**2 < 2**24). The bias is added in int64, and
 ``requantize`` re-checks the 2**31 bound at run time.
 
-Batch norm's input grid has at most 256 values, so the runtime tabulates
-its fixed-point arithmetic (sign * acc * multiplier + offset, rounding shift,
-clamp) once per (input value, feature), and the integer engine's batch norm
-is one gather that refuses any input off the grid.
+Batch norm and the residual adds read grids of at most 256 values, so the
+runtime tabulates their arithmetic at load, once per (input value, feature)
+and once per pair of input values, and the integer engine gathers from the
+table, refusing any input off its grid; the 2**31 check on the addends thus
+runs at load, over every grid value. The softmax exponential depends only on
+u = max(s) - s, at most 2**b - 1 on a b-bit scores grid, so it is evaluated
+once per value of u and gathered too.
 """
 
 from __future__ import annotations
@@ -215,19 +218,10 @@ _SOFTMAX_FRAC_BITS = 26  # fixed-point resolution of t * log2(e)
 _PROB_ACC_BITS = 24  # normalized probabilities in Q24
 
 
-def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarray:
-    """Row-wise softmax over integer scores in Q(_PROB_ACC_BITS) fixed point.
-
-    Max-subtraction in the integer domain, exponential via the 2**x
-    decomposition with the fractional table (linearly interpolated in integer
-    arithmetic), then normalization by rounded integer division. Rows sum to
-    exactly 2**_PROB_ACC_BITS: the division residue goes to the entries with
-    the largest remainders (ties to the lower index).
-    """
-    scores_q = np.asarray(scores_q, dtype=np.int64)
-    u = scores_q.max(axis=-1, keepdims=True) - scores_q  # >= 0, zero point cancels
-    c = round(score_scale * math.log2(math.e) * (1 << _SOFTMAX_FRAC_BITS))
-    c = min(c, 1 << 40)  # beyond this the softmax is one-hot anyway
+def _exp2_neg(u: np.ndarray, c: int) -> np.ndarray:
+    """2**(-u * c / 2**_SOFTMAX_FRAC_BITS) in Q(_EXP2_LUT_BITS) for int64 u >= 0:
+    the fractional power from the table, linearly interpolated in integer
+    arithmetic, then the integer power as a rounding shift."""
     w = u * c
     n_exp = w >> _SOFTMAX_FRAC_BITS
     rem = w & ((1 << _SOFTMAX_FRAC_BITS) - 1)
@@ -237,17 +231,42 @@ def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarra
     base = _EXP2_LUT[idx]
     delta = _EXP2_LUT[idx + 1] - base  # negative
     e_val = base + rounding_shift(delta * frac, interp_bits)
-    e_val = np.where(n_exp >= 62, 0, rounding_shift(e_val, np.minimum(n_exp, 61)))
+    return np.where(n_exp >= 62, 0, rounding_shift(e_val, np.minimum(n_exp, 61)))
+
+
+def integer_softmax_fixed(scores_q: np.ndarray, score_scale: float) -> np.ndarray:
+    """Row-wise softmax over integer scores in Q(_PROB_ACC_BITS) fixed point.
+
+    Max-subtraction in the integer domain, exponential via the 2**x
+    decomposition with the fractional table (linearly interpolated in integer
+    arithmetic), then normalization by rounded integer division. Rows sum to
+    exactly 2**_PROB_ACC_BITS: the division residue goes to the entries with
+    the largest remainders (ties to the lower index).
+
+    Scores on a b-bit grid give u = max - s in [0, 2**b - 1], so the
+    exponential is evaluated once per value of u up to its maximum and looked
+    up.
+    """
+    scores_q = np.asarray(scores_q, dtype=np.int64)
+    row = scores_q.shape[-1]
+    u = scores_q.max(axis=-1, keepdims=True) - scores_q  # >= 0, zero point cancels
+    c = round(score_scale * math.log2(math.e) * (1 << _SOFTMAX_FRAC_BITS))
+    c = min(c, 1 << 40)  # beyond this the softmax is one-hot anyway
+    top = int(u.max(initial=0))
+    e_val = _exp2_neg(np.arange(top + 1), c).take(u)
 
     total = e_val.sum(axis=-1, keepdims=True)  # >= 2**15 (the max entry)
-    raw = e_val << _PROB_ACC_BITS
-    q = raw // total
-    remainder = raw - q * total
-    deficit = (1 << _PROB_ACC_BITS) - q.sum(axis=-1)  # in [0, row_len)
-    order = np.argsort(-remainder, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(scores_q.shape[-1]), axis=-1)
-    return q + (ranks < deficit[..., None])
+    q, remainder = np.divmod(e_val << _PROB_ACC_BITS, total)
+    deficit = (1 << _PROB_ACC_BITS) - q.sum(axis=-1, keepdims=True)  # in [0, row)
+    # one key per entry, unique in its row, ordered by remainder and then by
+    # lower index: the deficit largest keys are those above the row's
+    # (deficit + 1)-th largest. remainder < total <= row * 2**24, so the key
+    # is below row**2 * 2**24 + row and fits int64 for rows up to 2**19.
+    key = remainder * row
+    key += np.arange(row - 1, -1, -1)
+    threshold = np.take_along_axis(np.sort(key, axis=-1), row - 1 - deficit, axis=-1)
+    q += key > threshold
+    return q
 
 
 # --- quantized model ----------------------------------------------------------
@@ -272,6 +291,27 @@ class _BnTable:
         return self.values.take(index)
 
 
+@dataclass(frozen=True)
+class _AddTable:
+    """A residual add on two integer input grids, tabulated:
+    ``values[x1 * width + x2 - offset]`` is the output for inputs x1 and x2."""
+
+    values: np.ndarray  # (grid 1 size * width,) int64
+    width: int  # the size of x2's grid
+    offset: int  # q1_min * width + q2_min
+    grids: tuple[tuple[int, int], tuple[int, int]]  # (q_min, q_max) of x1 and of x2
+
+    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        # an input off its grid would read another pair's entry
+        for x, (lo, hi) in zip((x1, x2), self.grids):
+            if x.size and (x.min() < lo or x.max() > hi):
+                raise AssertionError("residual add input outside its grid")
+        index = x1 * self.width  # x1 is the full-shape addend, x2 may broadcast
+        index += x2
+        index -= self.offset
+        return self.values.take(index)
+
+
 @dataclass
 class _Runtime:
     """Requantizers and folded integer constants derived from the params."""
@@ -281,7 +321,7 @@ class _Runtime:
     # ``_matmul_operands`` name
     dtype: dict[str, type] = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)  # w - zero point, dtype[name]
-    add: dict[str, tuple[Requantizer, Requantizer]] = field(default_factory=dict)
+    add: dict[str, _AddTable] = field(default_factory=dict)
     bn: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)  # what bn_table tabulates
     bn_table: dict[str, _BnTable] = field(default_factory=dict)
     scores: Requantizer | None = None
@@ -340,6 +380,27 @@ def _bn_table(c: dict[str, np.ndarray], in_p: QuantParams, out_p: QuantParams) -
     return _BnTable(values, in_p.q_min, in_p.q_max)
 
 
+def _add_table(grids: tuple[QuantParams, QuantParams], out_p: QuantParams) -> _AddTable:
+    """The integer residual add at every pair of input grid values: each addend
+    requantized onto the output grid, summed, less the zero point, clamped."""
+    addends = [
+        requantize(
+            np.arange(p.q_min, p.q_max + 1, dtype=np.int64) - p.zero_point,
+            make_requantizer(p.scale, out_p.scale),
+            out_p.zero_point, out_p.bitwidth, out_p.signed,
+        )
+        for p in grids
+    ]
+    total = (addends[0] - out_p.zero_point)[:, None] + addends[1]
+    values = _clip(total, out_p.q_min, out_p.q_max, out=total).ravel()
+    p1, p2 = grids
+    width = p2.q_max - p2.q_min + 1
+    return _AddTable(
+        values, width, p1.q_min * width + p2.q_min,
+        ((p1.q_min, p1.q_max), (p2.q_min, p2.q_max)),
+    )
+
+
 def _build_runtime(qm: QuantizedModel) -> None:
     act = qm.act_params
     rt = qm.runtime
@@ -356,9 +417,7 @@ def _build_runtime(qm: QuantizedModel) -> None:
     for node in NODES:
         out = act[node.junction]
         if node.op == "add":
-            rt.add[node.layer] = tuple(
-                make_requantizer(qm.grid(name).scale, out.scale) for name in node.inputs
-            )
+            rt.add[node.layer] = _add_table(tuple(map(qm.grid, node.inputs)), out)
         elif node.op == "bn":
             in_p = act[node.inputs[0]]
             rt.bn[node.layer] = _bn_integer_constants(
@@ -555,13 +614,7 @@ class _IntegerEngine(Dataflow):
     linear_relu = linear
 
     def add(self, node: Node, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        # each addend is requantized onto the output grid before the addition
-        out = self.model.act_params[node.junction]
-        (n1, n2), (r1, r2) = node.inputs, self.rt.add[node.layer]
-        total = self._requantize(x1 - self.model.grid(n1).zero_point, r1, node.junction)
-        total += self._requantize(x2 - self.model.grid(n2).zero_point, r2, node.junction)
-        total -= out.zero_point
-        return _clip(total, out.q_min, out.q_max, out=total)
+        return self.rt.add[node.layer](x1, x2)
 
     def bn(self, node: Node, x: np.ndarray) -> np.ndarray:
         return self.rt.bn_table[node.layer](x)

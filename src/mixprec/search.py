@@ -57,9 +57,7 @@ class Thresholds:
         for kind in RESOURCE_ORDER:
             value = self[kind]
             if not (value.is_finite() and value >= 0):
-                raise ValueError(
-                    f"threshold for {kind.value} must be finite and >= 0, got {value}"
-                )
+                raise ValueError(f"threshold t_{kind.value}: must be finite and >= 0, got {value}")
 
     @classmethod
     def of(cls, t_luts, t_dram, t_bram, t_dsps) -> "Thresholds":

@@ -4,9 +4,9 @@ Every matmul runs in int64 (NumPy's non-BLAS integer loop) and every
 rounding shift as a magnitude/sign round trip, so nothing here depends on
 the float64 exactness argument of ``mixprec.quantized``. It reads the grids,
 integer tensors and requantizers of a ``QuantizedModel`` and recomputes
-everything else (the context requantizer included), so ``forward_integer``
-must equal it bit for bit. It is too slow for the library: about 1 ms a
-window at d_model=64.
+everything else (the context and residual-add requantizers included), so
+``forward_integer`` must equal it bit for bit. It is too slow for the
+library: about 1 ms a window at d_model=64.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ def forward_integer_int64(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarra
         acc = (x - act[in_junction].zero_point) @ (w.data - w.params.zero_point) + b.data
         return requant(acc, rt.linear[name], out_junction)
 
-    def add(x1, p1, x2, p2, add_name, out_junction):
+    def add(x1, p1, x2, p2, out_junction):
         out_p = act[out_junction]
-        r1, r2 = rt.add[add_name]
-        a1 = requant(x1 - p1.zero_point, r1, out_junction)
-        a2 = requant(x2 - p2.zero_point, r2, out_junction)
+        a1 = requant(x1 - p1.zero_point, make_requantizer(p1.scale, out_p.scale), out_junction)
+        a2 = requant(x2 - p2.zero_point, make_requantizer(p2.scale, out_p.scale), out_junction)
         return np.clip(a1 + a2 - out_p.zero_point, out_p.q_min, out_p.q_max)
 
     def bn(x, in_junction, prefix, out_junction):
@@ -100,7 +99,7 @@ def forward_integer_int64(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarra
     x = X_q.data.astype(np.int64)
     h = linear(x, "input", "l_input", "l_input.out")
     pe = qm.tensors["pos_encoding"]
-    xe = add(h, act["l_input.out"], pe.data, pe.params, "add_pe", "add_pe.out")
+    xe = add(h, act["l_input.out"], pe.data, pe.params, "add_pe.out")
     q = linear(xe, "add_pe.out", "mha.wq", "mha.q")
     k = linear(xe, "add_pe.out", "mha.wk", "mha.k")
     v = linear(xe, "add_pe.out", "mha.wv", "mha.v")
@@ -111,11 +110,11 @@ def forward_integer_int64(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarra
     ctx_acc = (p - pp.zero_point) @ (v - act["mha.v"].zero_point)
     ctx = requant(ctx_acc, make_requantizer(pp.scale * act["mha.v"].scale, cp.scale), "mha.context")
     mo = linear(ctx, "mha.context", "mha.wo", "mha.out")
-    r1 = add(xe, act["add_pe.out"], mo, act["mha.out"], "add_mha", "add_mha.out")
+    r1 = add(xe, act["add_pe.out"], mo, act["mha.out"], "add_mha.out")
     a = bn(r1, "add_mha.out", "bn_mha", "bn_mha.out")
     f1 = linear(a, "bn_mha.out", "ffn.w1", "ffn.hidden")
     f2 = linear(f1, "ffn.hidden", "ffn.w2", "ffn.out")
-    r2 = add(a, act["bn_mha.out"], f2, act["ffn.out"], "add_ffn", "add_ffn.out")
+    r2 = add(a, act["bn_mha.out"], f2, act["ffn.out"], "add_ffn.out")
     f = bn(r2, "add_ffn.out", "bn_ffn", "bn_ffn.out")
     g = requant((f - act["bn_ffn.out"].zero_point).sum(axis=1), rt.gap, "gap.out")
     yp = act["output"]

@@ -80,6 +80,19 @@ class TestExitCodes:
             f"error: {bad}: not UTF-8 text (byte 0xff at position 0)\n"
         )
 
+    @pytest.mark.parametrize("text, named", [
+        ("target\n1\nx\n", "row 3, column 'target': non-numeric 'x'"),
+        ("a,target\n1,2\n3\n", "row 3: expected 2 cells, got 1"),
+        ("", "CSV has no header row"),
+    ], ids=["non-numeric", "cell-count", "empty"])
+    def test_csv_error_names_the_file(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        model = tmp_path / "model.json"
+        save_model(init(ModelConfig(seq_len=8, input_dim=1, d_model=8), 0), model)
+        assert run(["eval", "--model", str(model), "--data", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {named}\n"
+
     def test_bad_combo_is_data_error(self, kb_path, capsys):
         code = run(["estimate", "--kb", kb_path, "--n", "12", "--combo", "4,4"])
         assert code == 2
@@ -188,6 +201,26 @@ class TestKb:
         capsys.readouterr()
         doc = run_json(capsys, ["kb", "validate", str(out), "--json"])
         assert doc["valid"] and doc["seq_lens"] == [12]
+
+    def test_build_refuses_an_entry_load_refuses(self, tmp_path, capsys):
+        # the median of the two b=4 reports' l_input LUTs, 1E-24 and 0, is
+        # their mean 5E-25: one decimal place more than an exact sum allows
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for name, b, luts in (("a", 4, "0.000000000000000000000001"), ("b", 4, "0"),
+                              ("c", 6, "1"), ("d", 8, "1")):
+            rows = [f"{c.value},{luts if c.value == 'l_input' else '1'},2,3,4"
+                    for c in ALL_COMPONENTS]
+            (reports / f"{name}.csv").write_text(
+                "\n".join([f"# n=12 b={b}", "component,luts,dram,bram,dsps"] + rows)
+            )
+        out = tmp_path / "kb.json"
+        assert run(["kb", "build", "--reports", str(reports), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: entries.12.l_input.luts.4 5E-25: its 25 decimal places exceed the 24 "
+            "an exact sum allows\n"
+        )
+        assert not out.exists()
 
     def test_build_bad_report(self, tmp_path, capsys):
         reports = tmp_path / "reports"
@@ -313,7 +346,8 @@ class TestEstimateAndSearch:
                                                                    t_luts):
         assert run(["search", "--kb", kb_path, "--n", "12", "--t-luts", t_luts,
                     "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"]) == 2
-        assert "threshold for luts must be finite and >= 0" in capsys.readouterr().err
+        assert ("threshold t_luts: must be finite and >= 0, got "
+                in capsys.readouterr().err)
 
     def test_search_threshold_above_every_sum_passes_all(self, kb_path, capsys):
         argv = ["search", "--kb", kb_path, "--n", "12", "--t-dram", "100", "--t-bram", "100",

@@ -152,6 +152,53 @@ class TestWindow:
             assert len(np.unique(w)) == 1
 
 
+def window_by_slices(series: TimeSeries, n: int, split: float | int):
+    """(X, y, train_count, scaler) as ``window`` built them before it used one
+    strided copy: every target index, then one slice per pair, stacked."""
+    pair_segments = [(seg, np.arange(n, len(seg))) for seg in series.segments if len(seg) > n]
+    total = sum(len(idx) for _, idx in pair_segments)
+    test_count = int(round(total * split)) if isinstance(split, float) else int(split)
+    train_count = total - min(test_count, total)
+    fit_rows, seen = [], 0
+    for seg, idx in pair_segments:
+        in_train = min(max(train_count - seen, 0), len(idx))
+        if in_train > 0:
+            fit_rows.append(seg[: idx[in_train - 1] + 1])
+        seen += len(idx)
+    scaler = MinMaxScaler().fit(np.concatenate(fit_rows))
+    X_parts, y_parts = [], []
+    for seg, idx in pair_segments:
+        norm = scaler.transform(seg)
+        X_parts.extend(norm[t - n : t] for t in idx)
+        y_parts.extend(norm[t, series.target_index] for t in idx)
+    return np.stack(X_parts), np.array(y_parts), train_count, scaler
+
+
+GAPPED = [30, 4, 6, 5, 25]  # a segment of exactly n+1 = 6 rows, and two too short
+
+
+@pytest.mark.parametrize("lengths, split", [
+    (GAPPED, 0), (GAPPED, 0.1), (GAPPED, 0.5), (GAPPED, 17), ([6], 0),
+], ids=["gapped-0", "gapped-0.1", "gapped-0.5", "gapped-17", "n-plus-1"])
+def test_window_equals_the_slice_by_slice_construction(lengths, split):
+    # rows with an empty cell end each segment; the target is not the last column
+    rng = np.random.default_rng(len(lengths))
+    rows = []
+    for length in lengths:
+        rows += [",".join(f"{v:.4f}" for v in rng.normal(size=3)) for _ in range(length)]
+        rows.append("1,,2")
+    series = ingest(csv_of(rows[:-1], header="a,target,b"), target_column="target")
+    assert [len(seg) for seg in series.segments] == lengths
+    n = 5
+    ds = window(series, n, split)
+    X, y, train_count, scaler = window_by_slices(series, n, split)
+    assert ds.X.flags.c_contiguous and ds.X.dtype == X.dtype and ds.y.dtype == y.dtype
+    assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+    assert ds.train_count == train_count
+    assert np.array_equal(ds.scaler.mins, scaler.mins)
+    assert np.array_equal(ds.scaler.maxs, scaler.maxs)
+
+
 class TestScalerAndRmse:
     def dataset(self):
         seg = np.linspace(10, 30, 50).reshape(-1, 1)

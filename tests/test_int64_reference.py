@@ -46,9 +46,16 @@ def int64_batches(qm, X_q):
     ])
 
 
+# Of the int64 reference's 18 requantizations per batch, in dataflow order,
+# these six are the residual addends (two per add), which the library
+# requantizes once per grid value when it loads the model.
+REFERENCE_ADDENDS = {1, 2, 10, 11, 14, 15}
+
+
 def run_both(monkeypatch, qm, X_q):
     """Outputs and every requantized accumulator of both paths, in dataflow
-    order, batch after batch."""
+    order, batch after batch. The library's 12 per batch are the reference's
+    18 less its residual addends."""
     runs = []
     for module, forward in ((quantized, forward_integer), (int64_reference, int64_batches)):
         accumulators = []
@@ -61,7 +68,10 @@ def run_both(monkeypatch, qm, X_q):
         monkeypatch.setattr(module, "requantize", spy)
         runs.append((forward(qm, X_q), accumulators))
     (y, accs), (y_ref, accs_ref) = runs
-    assert len(accs) == len(accs_ref) == 18 * -(-len(X_q.data) // mixprec.model.EVAL_BATCH)
+    batches = -(-len(X_q.data) // mixprec.model.EVAL_BATCH)
+    assert len(accs_ref) == 18 * batches
+    accs_ref = [acc for i, acc in enumerate(accs_ref) if i % 18 not in REFERENCE_ADDENDS]
+    assert len(accs) == len(accs_ref) == 12 * batches
     for acc, acc_ref in zip(accs, accs_ref):
         assert np.array_equal(acc, acc_ref)
     assert np.array_equal(y, y_ref)
