@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import threading
 from datetime import datetime, timezone
@@ -297,6 +296,12 @@ def _load_ranges(path: str) -> dict[str, tuple[float, float]]:
     return ranges
 
 
+def _require_test_windows(args, dataset) -> None:
+    """An RMSE needs test windows: refuse an empty test split before any work on it."""
+    if not len(dataset.test_X):
+        raise ValueError(f"--test-fraction {args.test_fraction} leaves no test windows")
+
+
 def _predict(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, FloatModel):
         return Dataflow(model).predict(X)[:, 0]
@@ -308,6 +313,7 @@ def cmd_eval(args) -> int:
 
     model = load_model(args.model)
     dataset = _load_windowed(args, model.config.seq_len)
+    _require_test_windows(args, dataset)
     pred = _predict(model, dataset.test_X)
     value = rmse(pred, dataset.test_y, dataset)
     _emit({"rmse": value, "pairs": len(dataset.test_X)}, None)
@@ -341,6 +347,7 @@ def cmd_pipeline(args) -> int:
 
         stage = "dataset"
         dataset = _load_windowed(args, args.n)
+        _require_test_windows(args, dataset)
         config = ModelConfig(seq_len=args.n, input_dim=dataset.X.shape[2], d_model=args.d_model)
 
         run_dir = Path(args.out_dir) if args.out_dir else _default_run_dir(args)
@@ -480,8 +487,7 @@ def _interleave(jobs: dict, workers: int) -> tuple[dict, tuple | None]:
 
 def _training_workers(jobs: int) -> int:
     """Training threads: one per CPU this process may run on, at most one per job."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, jobs))
+    return max(1, min(training.cpus(), jobs))
 
 
 def _default_run_dir(args) -> Path:

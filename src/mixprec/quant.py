@@ -240,14 +240,20 @@ def rounding_shift(
 ) -> np.ndarray:
     """Divide int64 ``p`` by 2**shift (scalar or per element) rounding half away from zero.
 
-    Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring; at shift 0
-    (the identity) the ``[p < 0]`` term compares against the int64 minimum instead.
+    Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring. At one
+    shift s > 0 the ``- [p < 0]`` term is ``+ (p >> 63)``; where a shift may be 0
+    (the identity) the ``[p < 0]`` term compares against the int64 minimum there.
     The result goes to ``out`` (which may be ``p`` itself) or to a new array.
     """
     half = (np.int64(1) << shift) >> 1
-    negative = p < np.where(half > 0, 0, _INT64_MIN)
-    out = np.add(p, half, out=out)
-    out -= negative
+    if np.ndim(shift) == 0 and shift > 0:
+        minus_one = p >> 63  # -1 where p < 0, else 0; read before ``out`` is written
+        out = np.add(p, half, out=out)
+        out += minus_one
+    else:
+        negative = p < np.where(half > 0, 0, _INT64_MIN)
+        out = np.add(p, half, out=out)
+        out -= negative
     out >>= shift
     return out
 
@@ -258,12 +264,15 @@ def requantize(
     out_zero_point: int,
     out_bitwidth: int,
     signed: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray | int:
     """Rescale an integer accumulator onto an output grid.
 
     Computes ``round(acc * multiplier * 2**(-shift)) + out_zero_point``
     saturated to the output range, in 64-bit integer arithmetic: with
     |acc| < 2**31 and a 31-bit multiplier the product stays below 2**62.
+    The result goes to ``out``, an int64 array of ``acc``'s shape (``acc``
+    itself when the caller owns it), or to a new array.
     """
     scalar = not isinstance(acc, np.ndarray)
     acc_arr = np.asarray(acc, dtype=np.int64)
@@ -271,8 +280,11 @@ def requantize(
     # larger is a planning bug upstream (and would void the exact float matmuls)
     if acc_arr.size and (acc_arr.min() <= -(1 << 31) or acc_arr.max() >= (1 << 31)):
         raise AssertionError("accumulator exceeds 32-bit bound; widen the plan")
-    # one fresh array (an array even for 0-d), every later step in place on it
-    q = np.multiply(acc_arr, np.int64(r.multiplier), out=np.empty_like(acc_arr))
+    # one array (a fresh one, an array even for 0-d, unless ``out`` is given),
+    # every later step in place on it
+    if out is None:
+        out = np.empty_like(acc_arr)
+    q = np.multiply(acc_arr, np.int64(r.multiplier), out=out)
     rounding_shift(q, r.shift, out=q)
     q += out_zero_point
     _clip(q, *int_range(out_bitwidth, signed), out=q)

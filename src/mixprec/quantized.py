@@ -35,15 +35,25 @@ table, refusing any input off its grid; the 2**31 check on the addends thus
 runs at load, over every grid value. The softmax exponential depends only on
 u = max(s) - s, at most 2**b - 1 on a b-bit scores grid, so it is evaluated
 once per value of u and gathered too.
+
+``forward_integer`` splits its windows into contiguous chunks, one per
+worker thread, and each chunk runs in ``EVAL_BATCH`` batches. Neither split
+changes a bit: every step is exact integer arithmetic (the matmuls too, as
+above) on one window at a time, since batch norm reads fixed tables, the
+softmax works on rows and pooling on windows, and nothing sums across
+windows. A window's output is thus the same whatever chunk and batch, and
+whatever neighbours, it runs with.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as _model
 from . import training
 from .components import BitwidthCombination
 from .model import (
@@ -565,10 +575,44 @@ def _centered(x_q: np.ndarray, zero_point: int, dtype: type) -> np.ndarray:
 
 
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
-    """Integer-only inference; returns the dequantized output."""
+    """Integer-only inference; returns the dequantized output.
+
+    The windows are split into one contiguous chunk per worker: one per CPU
+    this process may run on, at most one per ``EVAL_BATCH`` batch. The
+    calling thread runs the first chunk and a thread each the others, every
+    chunk on its own engine (``run`` keeps its mode and cache on the engine).
+    """
     if X_q.params != qm.act_params["input"]:
         raise ValueError("input quantization parameters do not match the model's input grid")
-    y_q = _IntegerEngine(qm).predict(X_q.data)
+    X = X_q.data
+    batches = -(-len(X) // _model.EVAL_BATCH) if X.ndim == 3 else 1
+    workers = max(1, min(training.cpus(), batches))
+    bounds = [len(X) * i // workers for i in range(workers + 1)]
+    outputs: list = [None] * workers
+    failures: list[BaseException] = []
+
+    def work(i: int) -> None:
+        try:
+            outputs[i] = _IntegerEngine(qm).predict(X[bounds[i]:bounds[i + 1]])
+        except BaseException as e:  # raised again in the calling thread
+            failures.append(e)
+
+    # the calling thread takes a chunk: its malloc arena already holds the
+    # process's heap, and each further thread adds an arena
+    threads = [
+        threading.Thread(target=work, args=(i,), name=f"integer-{i}") for i in range(1, workers)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if failures:
+        raise failures[0]
+    y_q = np.concatenate(outputs)
     yp = qm.act_params["output"]
     return yp.scale * (y_q.astype(np.float64) - yp.zero_point)
 
@@ -586,8 +630,9 @@ class _IntegerEngine(Dataflow):
         self._last_centered: tuple = (None, None, None)
 
     def _requantize(self, acc: np.ndarray, r: Requantizer, junction: str) -> np.ndarray:
+        # every accumulator is an int64 array the op has just made: rescale it in place
         p = self.model.act_params[junction]
-        return requantize(acc, r, p.zero_point, p.bitwidth, p.signed)
+        return requantize(acc, r, p.zero_point, p.bitwidth, p.signed, out=acc)
 
     def _centered(self, junction: str, x: np.ndarray, dtype: type) -> np.ndarray:
         # mha.wq, wk and wv read one value in a row: they share one copy

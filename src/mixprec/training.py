@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
@@ -351,6 +352,14 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def cpus() -> int:
+    """The number of CPUs this process may run on: the pipeline's training
+    threads and ``forward_integer``'s chunks are each at most this many."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _FloatContext:

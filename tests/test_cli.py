@@ -6,8 +6,10 @@ import base64
 import collections
 import itertools
 import json
+import os
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,13 +17,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixprec import cli
+from mixprec import cli, quantized
 from mixprec.cli import USAGE_ERROR, _emit, run
 from mixprec.components import ALL_COMPONENTS, BitwidthCombination
 from mixprec.data import make_synthetic
 from mixprec.estimator import EstimateOptions, estimate
 from mixprec.knowledge import bundled_database, load, save
-from mixprec.model import JUNCTION_COMPONENT, ModelConfig, init, load_model, save_model
+from mixprec.model import (
+    EVAL_BATCH,
+    JUNCTION_COMPONENT,
+    ModelConfig,
+    init,
+    load_model,
+    save_model,
+)
+from mixprec.quantized import quantize_model
 from mixprec.search import Thresholds, search
 
 
@@ -585,6 +595,54 @@ class TestModelCommands:
             _emit({"rmse": float("nan")}, None)
 
 
+class TestEmptyTestSplit:
+    """``--test-fraction 0`` leaves the test split empty: eval and pipeline
+    refuse it before any work on it, infer predicts nothing."""
+
+    @pytest.fixture(scope="class")
+    def models(self, data_path, tmp_path_factory) -> dict:
+        folder = tmp_path_factory.mktemp("models")
+        paths = {"float": folder / "float.json", "integer": folder / "integer.json"}
+        save_model(init(ModelConfig(seq_len=8, input_dim=3, d_model=8), 0), paths["float"])
+        assert run(["quantize", "--model", str(paths["float"]), "--combo", "8,8,8,8,8,8,8,8,8,8",
+                    "--data", data_path, "--out", str(paths["integer"])]) == 0
+        return paths
+
+    @staticmethod
+    def run_quietly(argv: list[str]) -> int:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert caught == []
+        return code
+
+    @pytest.mark.parametrize("kind", ["float", "integer"])
+    def test_eval_refuses_it(self, models, data_path, capsys, kind):
+        argv = ["eval", "--model", str(models[kind]), "--data", data_path, "--test-fraction", "0"]
+        assert self.run_quietly(argv) == 2
+        assert capsys.readouterr() == ("", "error: --test-fraction 0.0 leaves no test windows\n")
+
+    def test_pipeline_refuses_it_at_the_dataset_stage(
+        self, kb_path, data_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "training_steps", None)  # no training may start
+        run_dir = tmp_path / "run"
+        argv = TestPipeline.pipeline_args(kb_path, data_path, run_dir)
+        assert self.run_quietly([*argv, "--test-fraction", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pipeline stage 'dataset' failed: --test-fraction 0.0 leaves no test windows\n"
+        )
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["float", "integer"])
+    def test_infer_predicts_nothing(self, models, data_path, capsys, kind):
+        argv = ["infer", "--model", str(models[kind]), "--data", data_path,
+                "--test-fraction", "0", "--split", "test"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_json(capsys, argv) == {"predictions": []}
+
+
 def _zero_first(doc: dict, name: str) -> None:
     entry = doc["tensors"][name]
     values = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"]).copy()
@@ -725,7 +783,8 @@ class TestPipeline:
         assert code == 2
         assert "stage 'dataset'" in capsys.readouterr().err
 
-    def pipeline_args(self, kb_path, data_path, run_dir) -> list[str]:
+    @staticmethod
+    def pipeline_args(kb_path, data_path, run_dir) -> list[str]:
         return [
             "pipeline", "--kb", kb_path, "--data", data_path, "--n", "12",
             "--d-model", "16", "--t-luts", "80", "--t-dram", "100", "--t-bram", "100",
@@ -817,6 +876,23 @@ class TestPipeline:
     def test_training_workers_are_the_cpus_capped_at_the_jobs(
         self, monkeypatch, cpus, jobs, workers
     ):
+        """The same CPU count caps ``forward_integer``'s chunks at its
+        ``EVAL_BATCH`` batches: ``jobs`` batches, the last one partial, run
+        on ``workers`` engines."""
         cpu_set = set(range(cpus))
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
         assert cli._training_workers(jobs) == workers
+
+        config = ModelConfig(seq_len=4, input_dim=1, d_model=4)
+        X = np.random.default_rng(0).normal(size=((jobs - 1) * EVAL_BATCH + 1, 4, 1))
+        qm = quantize_model(init(config, 0), BitwidthCombination.uniform(8), calibration_data=X)
+        chunks = []
+        predict = quantized._IntegerEngine.predict
+
+        def record(engine, chunk):
+            chunks.append(len(chunk))
+            return predict(engine, chunk)
+
+        monkeypatch.setattr(quantized._IntegerEngine, "predict", record)
+        assert len(quantized.forward_integer(qm, qm.quantize_input(X))) == len(X)
+        assert len(chunks) == workers and sum(chunks) == len(X)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mixprec.model
-from mixprec import quantized
+from mixprec import quantized, training
 from mixprec.components import BitwidthCombination
 from mixprec.data import bundled_synthetic_csv, ingest, window
 from mixprec.knowledge import bundled_database
@@ -55,19 +55,29 @@ REFERENCE_ADDENDS = {1, 2, 10, 11, 14, 15}
 def run_both(monkeypatch, qm, X_q):
     """Outputs and every requantized accumulator of both paths, in dataflow
     order, batch after batch. The library's 12 per batch are the reference's
-    18 less its residual addends."""
+    18 less its residual addends.
+
+    The spy records calls in the order they come, so the library runs on one
+    worker here; its outputs on several workers must equal the reference's too.
+    """
     runs = []
-    for module, forward in ((quantized, forward_integer), (int64_reference, int64_batches)):
-        accumulators = []
-        original = module.requantize
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "cpus", lambda: 1)
+        for module, forward in ((quantized, forward_integer), (int64_reference, int64_batches)):
+            accumulators = []
+            original = module.requantize
 
-        def spy(acc, *args, original=original, accumulators=accumulators):
-            accumulators.append(np.array(acc, dtype=np.int64))
-            return original(acc, *args)
+            def spy(acc, *args, original=original, accumulators=accumulators, **kwargs):
+                accumulators.append(np.array(acc, dtype=np.int64))
+                return original(acc, *args, **kwargs)
 
-        monkeypatch.setattr(module, "requantize", spy)
-        runs.append((forward(qm, X_q), accumulators))
+            patch.setattr(module, "requantize", spy)
+            runs.append((forward(qm, X_q), accumulators))
     (y, accs), (y_ref, accs_ref) = runs
+    for cpus in (2, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "cpus", lambda cpus=cpus: cpus)
+            assert np.array_equal(forward_integer(qm, X_q), y_ref)
     batches = -(-len(X_q.data) // mixprec.model.EVAL_BATCH)
     assert len(accs_ref) == 18 * batches
     accs_ref = [acc for i, acc in enumerate(accs_ref) if i % 18 not in REFERENCE_ADDENDS]

@@ -1,17 +1,22 @@
 """The integer engine's plan-time choices: each matmul's operand type, the
 batch-norm and residual-add tables, and the tabulated softmax exponential,
-each against the arithmetic it replaces."""
+each against the arithmetic it replaces; and its windows split over threads."""
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import int64_reference
 import numpy as np
 import pytest
-from test_int64_reference import run_both
+from test_int64_reference import run_both, top_mixed_combos
 
+from mixprec import cli, quantized, training
 from mixprec.components import BitwidthCombination
 from mixprec.data import bundled_synthetic_csv, ingest, window
-from mixprec.model import LINEARS, NODES, ModelConfig, init
+from mixprec.model import LINEARS, NODES, ModelConfig, init, save_model
 from mixprec.quant import QuantParams, QuantScheme, make_requantizer
 from mixprec.quantized import (
     _PROB_ACC_BITS,
@@ -19,6 +24,7 @@ from mixprec.quantized import (
     _bn_table,
     _matmul_dtype,
     _matmul_operands,
+    forward_integer,
     integer_softmax_fixed,
     quantize_model,
 )
@@ -208,3 +214,80 @@ class TestSoftmax:
         p = self.check(scores, 0.5)
         assert np.array_equal(np.argmax(p, axis=-1), hot)
         assert np.all(np.take_along_axis(p, hot[..., None], axis=-1) == 1 << _PROB_ACC_BITS)
+
+
+# --- windows over threads -------------------------------------------------------
+
+
+@pytest.fixture(scope="module", ids=str, params=[
+    BitwidthCombination.uniform(4), UNIFORM_8, *top_mixed_combos(1),
+])
+def series_qm(request):
+    """A d_model=64 model quantized at the combination, and every bundled window."""
+    X = bundled_windows()
+    config = ModelConfig(seq_len=12, input_dim=X.shape[2], d_model=64)
+    return quantize_model(init(config, 4), request.param, calibration_data=X[:1789]), X
+
+
+def at_cpus(monkeypatch, cpus: int, qm, X_q) -> np.ndarray:
+    monkeypatch.setattr(training, "cpus", lambda: cpus)
+    return forward_integer(qm, X_q)
+
+
+@pytest.mark.parametrize("windows", [0, 1, 7, 64, 65, 199, 1988])
+def test_every_cpu_count_gives_the_same_bits(monkeypatch, series_qm, windows):
+    qm, X = series_qm
+    X_q = qm.quantize_input(X[:windows])
+    threads = threading.active_count()
+    serial = at_cpus(monkeypatch, 1, qm, X_q)
+    assert serial.shape == (windows, qm.config.output_dim)
+    for cpus in (2, 3, 8):
+        assert np.array_equal(at_cpus(monkeypatch, cpus, qm, X_q), serial)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("series_qm", [UNIFORM_8], ids=str, indirect=True)
+def test_eight_workers_under_a_short_switch_interval(monkeypatch, series_qm):
+    """Ten batches on eight workers, the interpreter switching threads every
+    microsecond, for a second: every output still equals the serial one."""
+    qm, X = series_qm
+    X_q = qm.quantize_input(X[:600])
+    serial = at_cpus(monkeypatch, 1, qm, X_q)
+    monkeypatch.setattr(training, "cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs, deadline = 0, time.monotonic() + 1.0
+        while runs < 2 or time.monotonic() < deadline:
+            assert np.array_equal(forward_integer(qm, X_q), serial)
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failure_on_a_worker_thread_surfaces(monkeypatch, tmp_path, capsys):
+    """From ``forward_integer`` as the error itself, from the CLI as exit 3,
+    once every thread has ended."""
+    X = bundled_windows()
+    config = ModelConfig(seq_len=12, input_dim=X.shape[2], d_model=8)
+    qm = quantize_model(init(config, 4), UNIFORM_8, calibration_data=X[:1789])
+    calling, run = threading.get_ident(), quantized._IntegerEngine.run
+
+    def run_or_fail(engine, X, mode):
+        if threading.get_ident() != calling:
+            raise AssertionError("injected on a worker thread")
+        return run(engine, X, mode)
+
+    monkeypatch.setattr(quantized._IntegerEngine, "run", run_or_fail)
+    monkeypatch.setattr(training, "cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(AssertionError, match="injected on a worker thread"):
+        forward_integer(qm, qm.quantize_input(X[:199]))
+    assert threading.active_count() == threads
+
+    model, data = tmp_path / "model.json", tmp_path / "series.csv"
+    save_model(qm, model)
+    data.write_text(bundled_synthetic_csv())
+    assert cli.run(["eval", "--model", str(model), "--data", str(data)]) == 3
+    assert capsys.readouterr() == ("", "internal error: injected on a worker thread\n")
+    assert threading.active_count() == threads

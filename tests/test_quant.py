@@ -314,6 +314,20 @@ class TestRequantizer:
         for a, v in zip(accs[:50], vec[:50]):
             assert requantize(int(a), r, out_zero_point=3, out_bitwidth=8) == v
 
+    @pytest.mark.parametrize("s_in, s_out", [(0.0123, 0.456), (1.0, 1.0), (1.0, 2.0**-30.5)])
+    def test_in_place_equals_a_fresh_array(self, s_in, s_out):
+        """At shifts 36, 30 and 0 (the last, the identity shift, at a ratio of
+        2**30.5), onto a 63-bit grid, wide enough that no output saturates."""
+        r = make_requantizer(s_in, s_out)
+        accs = np.random.default_rng(1).integers(-(2**31) + 1, 2**31, size=(4, 3, 50))
+        accs[0, 0, :4] = [-(2**31) + 1, -1, 0, 2**31 - 1]
+        expected = requantize(accs, r, out_zero_point=-7, out_bitwidth=63)
+        assert np.all(np.abs(expected) < 2**62 - 8)
+        acc = accs.copy()
+        got = requantize(acc, r, out_zero_point=-7, out_bitwidth=63, out=acc)
+        assert got is acc
+        assert np.array_equal(got, expected)
+
 
 def quantized_at(combo: BitwidthCombination):
     """A small model quantized at ``combo``, calibrated on random windows."""
