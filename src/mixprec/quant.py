@@ -240,20 +240,14 @@ def rounding_shift(
 ) -> np.ndarray:
     """Divide int64 ``p`` by 2**shift (scalar or per element) rounding half away from zero.
 
-    Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring. At one
-    shift s > 0 the ``- [p < 0]`` term is ``+ (p >> 63)``; where a shift may be 0
-    (the identity) the ``[p < 0]`` term compares against the int64 minimum there.
+    Branch-free ``(p + 2**(s-1) - [p < 0]) >> s``, the shift flooring; at shift 0
+    (the identity) the ``[p < 0]`` term compares against the int64 minimum instead.
     The result goes to ``out`` (which may be ``p`` itself) or to a new array.
     """
     half = (np.int64(1) << shift) >> 1
-    if np.ndim(shift) == 0 and shift > 0:
-        minus_one = p >> 63  # -1 where p < 0, else 0; read before ``out`` is written
-        out = np.add(p, half, out=out)
-        out += minus_one
-    else:
-        negative = p < np.where(half > 0, 0, _INT64_MIN)
-        out = np.add(p, half, out=out)
-        out -= negative
+    negative = p < np.where(half > 0, 0, _INT64_MIN)
+    out = np.add(p, half, out=out)
+    out -= negative
     out >>= shift
     return out
 
