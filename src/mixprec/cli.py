@@ -8,14 +8,12 @@ or for inherently structured commands); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import functools
 import hashlib
 import json
 import math
 import sys
-import threading
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -67,8 +65,7 @@ DATA_ERRORS = (
     CoverageError,
     CalibrationError,
     ValueError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     InvalidOperation,
 )
 
@@ -364,7 +361,7 @@ def cmd_pipeline(args) -> int:
             for rank, cand in enumerate(result.selected)
         }
         jobs["float-baseline"] = training_steps(init(config, args.seed), dataset, cfg)
-        results, failure = _interleave(jobs, _training_workers(len(jobs)))
+        results, failure = training.run_jobs(jobs)
         if failure is not None:
             stage, error = failure
             raise error
@@ -429,65 +426,6 @@ def _candidate_steps(model: FloatModel, dataset, cfg: TrainConfig):
     frozen ranges; returns (quantized model, report)."""
     trained, report, ranges = yield from training_steps(model, dataset, cfg)
     return quantize_model(trained, cfg.qat, ranges=ranges), report
-
-
-def _interleave(jobs: dict, workers: int) -> tuple[dict, tuple | None]:
-    """Run every job's generator to its end, a step at a time.
-
-    ``workers`` threads, the calling one among them, take (name, generator)
-    pairs from one FIFO queue, advance the pair by one step and put it back,
-    so each job keeps moving and no CPU idles while a job is left. The first
-    failure stops new steps from being handed out; once every thread has
-    finished its step, the unfinished generators are closed. Returns each
-    finished job's return value by name, and the first failure as (name,
-    exception) or None.
-    """
-    queue = collections.deque(jobs.items())
-    results, failures = {}, []
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work() -> None:
-        while True:
-            with lock:
-                if stop.is_set() or not queue:
-                    return
-                name, steps = queue.popleft()
-            try:
-                next(steps)
-            except StopIteration as done:
-                results[name] = done.value
-                continue
-            except BaseException as e:  # raised again in the calling thread
-                with lock:
-                    failures.append((name, e))
-                    stop.set()
-                return
-            with lock:
-                queue.append((name, steps))
-
-    # the calling thread is one of the workers: its malloc arena already
-    # holds the process's heap, and each further thread adds an arena
-    threads = [threading.Thread(target=work, name=f"training-{i}") for i in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work()
-        for thread in threads:
-            thread.join()
-    finally:
-        stop.set()  # after an interrupt here, the running steps finish
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-        for steps in jobs.values():
-            steps.close()
-    return results, (failures[0] if failures else None)
-
-
-def _training_workers(jobs: int) -> int:
-    """Training threads: one per CPU this process may run on, at most one per job."""
-    return max(1, min(training.cpus(), jobs))
 
 
 def _default_run_dir(args) -> Path:

@@ -43,10 +43,6 @@ class TimeSeries:
     def target_index(self) -> int:
         return self.columns.index(self.target_column)
 
-    @property
-    def total_rows(self) -> int:
-        return sum(len(s) for s in self.segments)
-
 
 class MinMaxScaler:
     """Per-column affine map onto [0, 1]; exact affine inverse.
@@ -85,13 +81,6 @@ class MinMaxScaler:
     def inverse_transform(self, rows: np.ndarray) -> np.ndarray:
         self._check()
         return rows * self.spans + self.mins
-
-    def transform_column(self, values: np.ndarray, column: int) -> np.ndarray:
-        self._check()
-        span = self.spans[column]
-        if span == 0:
-            return np.zeros_like(np.asarray(values, dtype=np.float64))
-        return (np.asarray(values, dtype=np.float64) - self.mins[column]) / span
 
     def inverse_column(self, values: np.ndarray, column: int) -> np.ndarray:
         self._check()
@@ -318,27 +307,6 @@ def rmse(predictions: np.ndarray, targets: np.ndarray, dataset: WindowedDataset)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
     return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-def make_synthetic(rows: int = 2000, seed: int = 7) -> str:
-    """Deterministic synthetic multivariate series as CSV text.
-
-    The target mixes two periodic components and a slow drift plus mild noise,
-    so a short window carries enough signal for single-step forecasting.
-    """
-    rng = np.random.default_rng(seed)
-    t = np.arange(rows, dtype=np.float64)
-    daily = np.sin(2 * np.pi * t / 48.0)
-    weekly = np.cos(2 * np.pi * t / 336.0)
-    drift = 0.0005 * t
-    noise = rng.normal(0, 0.05, size=rows)
-    target = 10.0 + 3.0 * daily + 1.5 * weekly + drift + noise
-    f0 = daily + rng.normal(0, 0.02, size=rows)
-    f1 = weekly + rng.normal(0, 0.02, size=rows)
-    lines = ["f0,f1,target"]
-    for i in range(rows):
-        lines.append(f"{f0[i]:.6f},{f1[i]:.6f},{target[i]:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 def bundled_synthetic_csv() -> str:

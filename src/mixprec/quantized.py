@@ -36,19 +36,17 @@ runs at load, over every grid value. The softmax exponential depends only on
 u = max(s) - s, at most 2**b - 1 on a b-bit scores grid, so it is evaluated
 once per value of u and gathered too.
 
-``forward_integer`` splits its windows into contiguous chunks, one per
-worker thread, and each chunk runs in ``EVAL_BATCH`` batches. Neither split
-changes a bit: every step is exact integer arithmetic (the matmuls too, as
-above) on one window at a time, since batch norm reads fixed tables, the
-softmax works on rows and pooling on windows, and nothing sums across
-windows. A window's output is thus the same whatever chunk and batch, and
-whatever neighbours, it runs with.
+``forward_integer`` runs its ``EVAL_BATCH`` batches on whichever threads
+``training.run_jobs`` gives them, which changes no bit: every step is exact
+integer arithmetic (the matmuls too, as above) on one window at a time,
+since batch norm reads fixed tables, the softmax works on rows and pooling
+on windows, and nothing sums across windows. A window's output is thus the
+same whatever batch, thread and neighbours it runs with.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,7 +330,6 @@ class _Runtime:
     dtype: dict[str, type] = field(default_factory=dict)
     weights: dict[str, np.ndarray] = field(default_factory=dict)  # w - zero point, dtype[name]
     add: dict[str, _AddTable] = field(default_factory=dict)
-    bn: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)  # what bn_table tabulates
     bn_table: dict[str, _BnTable] = field(default_factory=dict)
     scores: Requantizer | None = None
     probs: Requantizer | None = None
@@ -430,10 +427,10 @@ def _build_runtime(qm: QuantizedModel) -> None:
             rt.add[node.layer] = _add_table(tuple(map(qm.grid, node.inputs)), out)
         elif node.op == "bn":
             in_p = act[node.inputs[0]]
-            rt.bn[node.layer] = _bn_integer_constants(
+            constants = _bn_integer_constants(
                 qm.bn_folds[f"{node.layer}.fold_a"], qm.bn_folds[f"{node.layer}.fold_b"], in_p, out
             )
-            rt.bn_table[node.layer] = _bn_table(rt.bn[node.layer], in_p, out)
+            rt.bn_table[node.layer] = _bn_table(constants, in_p, out)
 
     s_q, s_k = act["mha.q"].scale, act["mha.k"].scale
     rt.scores = make_requantizer(s_q * s_k / math.sqrt(d), act["mha.scores"].scale)
@@ -577,44 +574,28 @@ def _centered(x_q: np.ndarray, zero_point: int, dtype: type) -> np.ndarray:
 def forward_integer(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarray:
     """Integer-only inference; returns the dequantized output.
 
-    The windows are split into one contiguous chunk per worker: one per CPU
-    this process may run on, at most one per ``EVAL_BATCH`` batch. The
-    calling thread runs the first chunk and a thread each the others, every
-    chunk on its own engine (``run`` keeps its mode and cache on the engine).
+    Each ``EVAL_BATCH`` batch is one job of ``training.run_jobs`` on an
+    engine of its own (``run`` keeps its mode and cache on the engine), and
+    the outputs are joined in window order.
     """
     if X_q.params != qm.act_params["input"]:
         raise ValueError("input quantization parameters do not match the model's input grid")
-    X = X_q.data
-    batches = -(-len(X) // _model.EVAL_BATCH) if X.ndim == 3 else 1
-    workers = max(1, min(training.cpus(), batches))
-    bounds = [len(X) * i // workers for i in range(workers + 1)]
-    outputs: list = [None] * workers
-    failures: list[BaseException] = []
-
-    def work(i: int) -> None:
-        try:
-            outputs[i] = _IntegerEngine(qm).predict(X[bounds[i]:bounds[i + 1]])
-        except BaseException as e:  # raised again in the calling thread
-            failures.append(e)
-
-    # the calling thread takes a chunk: its malloc arena already holds the
-    # process's heap, and each further thread adds an arena
-    threads = [
-        threading.Thread(target=work, args=(i,), name=f"integer-{i}") for i in range(1, workers)
-    ]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    if failures:
-        raise failures[0]
-    y_q = np.concatenate(outputs)
+    X, size = X_q.data, _model.EVAL_BATCH
+    batches = [X[i:i + size] for i in range(0, max(len(X), 1), size)] if X.ndim == 3 else [X]
+    results, failure = training.run_jobs(
+        {i: _predict_steps(qm, batch) for i, batch in enumerate(batches)}
+    )
+    if failure is not None:
+        raise failure[1]
+    y_q = np.concatenate([results[i] for i in range(len(batches))])
     yp = qm.act_params["output"]
     return yp.scale * (y_q.astype(np.float64) - yp.zero_point)
+
+
+def _predict_steps(qm: QuantizedModel, X: np.ndarray):
+    """``_IntegerEngine(qm).predict(X)`` as a job of one step."""
+    return _IntegerEngine(qm).predict(X)
+    yield  # a generator: the prediction runs at its first step
 
 
 class _IntegerEngine(Dataflow):

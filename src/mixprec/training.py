@@ -15,9 +15,11 @@ epoch is the best, so callers only ever see float64 models.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
+import threading
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
@@ -355,11 +357,66 @@ def _keep_heap() -> None:
 
 
 def cpus() -> int:
-    """The number of CPUs this process may run on: the pipeline's training
-    threads and ``forward_integer``'s chunks are each at most this many."""
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def run_jobs(jobs: dict) -> tuple[dict, tuple | None]:
+    """Run every job's generator to its end, a step at a time: the one
+    scheduler of the threads mixprec starts.
+
+    One thread per CPU this process may run on, at most one per job, the
+    calling one among them, take (name, generator) pairs from one FIFO
+    queue, advance the pair by one step and put it back, so each job keeps
+    moving and no CPU idles while a job is left. The first failure stops new
+    steps from being handed out; once every thread has finished its step,
+    the unfinished generators are closed. Returns each finished job's return
+    value by name, and the first failure as (name, exception) or None.
+    """
+    queue = collections.deque(jobs.items())
+    results, failures = {}, []
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                if stop.is_set() or not queue:
+                    return
+                name, steps = queue.popleft()
+            try:
+                next(steps)
+            except StopIteration as done:
+                results[name] = done.value
+                continue
+            except BaseException as e:  # raised again in the calling thread
+                with lock:
+                    failures.append((name, e))
+                    stop.set()
+                return
+            with lock:
+                queue.append((name, steps))
+
+    # the calling thread is one of the workers: its malloc arena already
+    # holds the process's heap, and each further thread adds an arena
+    workers = max(1, min(cpus(), len(jobs)))
+    threads = [threading.Thread(target=work, name=f"mixprec-{i}") for i in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()  # after an interrupt here, the running steps finish
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        for steps in jobs.values():
+            steps.close()
+    return results, (failures[0] if failures else None)
 
 
 class _FloatContext:

@@ -3,10 +3,11 @@
 Every matmul runs in int64 (NumPy's non-BLAS integer loop) and every
 rounding shift as a magnitude/sign round trip, so nothing here depends on
 the float64 exactness argument of ``mixprec.quantized``. It reads the grids,
-integer tensors and requantizers of a ``QuantizedModel`` and recomputes
-everything else (the context and residual-add requantizers included), so
-``forward_integer`` must equal it bit for bit. It is too slow for the
-library: about 1 ms a window at d_model=64.
+integer tensors, batch-norm folds and requantizers of a ``QuantizedModel``
+and recomputes everything else (the context and residual-add requantizers
+and the batch norms' fixed-point constants included), so ``forward_integer``
+must equal it bit for bit. It is too slow for the library: about 1 ms a
+window at d_model=64.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from mixprec.quantized import (
     _PROB_ACC_BITS,
     _SOFTMAX_FRAC_BITS,
     QuantizedModel,
+    _bn_integer_constants,
 )
 
 
@@ -91,8 +93,10 @@ def forward_integer_int64(qm: QuantizedModel, X_q: QuantizedTensor) -> np.ndarra
         return np.clip(a1 + a2 - out_p.zero_point, out_p.q_min, out_p.q_max)
 
     def bn(x, in_junction, prefix, out_junction):
-        out_p, c = act[out_junction], rt.bn[prefix]
-        product = c["sign"] * (x - act[in_junction].zero_point) * c["mult"] + c["offset"]
+        in_p, out_p = act[in_junction], act[out_junction]
+        folds = (qm.bn_folds[f"{prefix}.fold_a"], qm.bn_folds[f"{prefix}.fold_b"])
+        c = _bn_integer_constants(*folds, in_p, out_p)
+        product = c["sign"] * (x - in_p.zero_point) * c["mult"] + c["offset"]
         y = rounding_shift_array(product, c["shift"]) + out_p.zero_point
         return np.clip(y, out_p.q_min, out_p.q_max)
 

@@ -6,7 +6,6 @@ import base64
 import collections
 import itertools
 import json
-import os
 import sys
 import threading
 import warnings
@@ -16,22 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from synthetic import make_synthetic
 
-from mixprec import cli, quantized
+from mixprec import cli, training
 from mixprec.cli import USAGE_ERROR, _emit, run
 from mixprec.components import ALL_COMPONENTS, BitwidthCombination
-from mixprec.data import make_synthetic
 from mixprec.estimator import EstimateOptions, estimate
 from mixprec.knowledge import bundled_database, load, save
 from mixprec.model import (
-    EVAL_BATCH,
     JUNCTION_COMPONENT,
     ModelConfig,
     init,
     load_model,
     save_model,
 )
-from mixprec.quantized import quantize_model
 from mixprec.search import Thresholds, search
 
 
@@ -67,6 +64,40 @@ class TestExitCodes:
         code = run(["estimate", "--kb", "/nonexistent.json", "--n", "12",
                     "--combo", "4,4,4,4,4,4,4,4,4,4"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        "estimate-kb", "search-out", "search-combos", "quantize-model", "eval-model",
+        "train-out", "pipeline-out-dir",
+    ])
+    def test_a_path_under_a_regular_file_is_data_error(
+        self, kb_path, data_path, tmp_path, capsys, command
+    ):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("a regular file\n")
+        bad = plain / "x"
+        thresholds = ["--t-luts", "80", "--t-dram", "100", "--t-bram", "100", "--t-dsps", "100"]
+        fit = ["--data", data_path, "--n", "12", "--d-model", "8", "--epochs", "1",
+               "--patience", "1", "--batch-size", "64"]
+        search = ["search", "--kb", kb_path, "--n", "12", *thresholds]
+        argv = {
+            "estimate-kb": ["estimate", "--kb", str(bad), "--n", "12",
+                            "--combo", "4,4,4,4,4,4,4,4,4,4"],
+            "search-out": [*search, "--out", str(bad)],
+            "search-combos": [*search, "--combos", str(bad)],
+            "quantize-model": ["quantize", "--model", str(bad), "--combo", "8,8,8,8,8,8,8,8,8,8",
+                               "--data", data_path, "--out", str(tmp_path / "q.json")],
+            "eval-model": ["eval", "--model", str(bad), "--data", data_path],
+            "train-out": ["train", *fit, "--out", str(bad)],
+            "pipeline-out-dir": ["pipeline", "--kb", kb_path, *fit, *thresholds,
+                                 "--top", "1", "--out-dir", str(bad)],
+        }[command]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{bad}'" in captured.err
+        if command == "pipeline-out-dir":
+            assert captured.err.startswith("error: pipeline stage 'dataset' failed: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["plain.txt"]
 
     @pytest.mark.parametrize("command", ["eval", "eval-target", "search", "kb-build"])
     def test_input_not_utf8_names_the_file(self, kb_path, tmp_path, capsys, command):
@@ -798,7 +829,7 @@ class TestPipeline:
         threads = threading.active_count()
         written = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(cli, "_training_workers", lambda jobs, n=workers: n)
+            monkeypatch.setattr(training, "cpus", lambda n=workers: n)
             run_dir = tmp_path / f"workers-{workers}"
             assert run(self.pipeline_args(kb_path, data_path, run_dir)) == 0
             assert threading.active_count() == threads
@@ -843,7 +874,7 @@ class TestPipeline:
         second = search(load(kb_path), 12, Thresholds.of(80, 100, 100, 100), top_k=2).selected[1]
         failed = None if failing == "train" else second.combo
         log = self.record_steps(monkeypatch, fails=lambda cfg: cfg.qat == failed)
-        monkeypatch.setattr(cli, "_training_workers", lambda jobs: 2)
+        monkeypatch.setattr(training, "cpus", lambda: 2)
         threads = threading.active_count()
         # no preemption inside the scheduler's short critical sections, so a
         # step that starts after the failure was handed out after it
@@ -861,7 +892,7 @@ class TestPipeline:
         self, kb_path, data_path, tmp_path, capsys, monkeypatch
     ):
         log = self.record_steps(monkeypatch)
-        monkeypatch.setattr(cli, "_training_workers", lambda jobs: 2)
+        monkeypatch.setattr(training, "cpus", lambda: 2)
         assert run(self.pipeline_args(kb_path, data_path, tmp_path / "run")) == 0
         jobs = set(log)
         assert len(jobs) == 3
@@ -871,28 +902,3 @@ class TestPipeline:
             if taken[job] == 3:
                 break
         assert set(taken) == jobs
-
-    @pytest.mark.parametrize("cpus, jobs, workers", [(4, 3, 3), (4, 9, 4), (1, 3, 1)])
-    def test_training_workers_are_the_cpus_capped_at_the_jobs(
-        self, monkeypatch, cpus, jobs, workers
-    ):
-        """The same CPU count caps ``forward_integer``'s chunks at its
-        ``EVAL_BATCH`` batches: ``jobs`` batches, the last one partial, run
-        on ``workers`` engines."""
-        cpu_set = set(range(cpus))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
-        assert cli._training_workers(jobs) == workers
-
-        config = ModelConfig(seq_len=4, input_dim=1, d_model=4)
-        X = np.random.default_rng(0).normal(size=((jobs - 1) * EVAL_BATCH + 1, 4, 1))
-        qm = quantize_model(init(config, 0), BitwidthCombination.uniform(8), calibration_data=X)
-        chunks = []
-        predict = quantized._IntegerEngine.predict
-
-        def record(engine, chunk):
-            chunks.append(len(chunk))
-            return predict(engine, chunk)
-
-        monkeypatch.setattr(quantized._IntegerEngine, "predict", record)
-        assert len(quantized.forward_integer(qm, qm.quantize_input(X))) == len(X)
-        assert len(chunks) == workers and sum(chunks) == len(X)

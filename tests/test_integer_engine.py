@@ -1,6 +1,6 @@
 """The integer engine's plan-time choices: each matmul's operand type, the
 batch-norm and residual-add tables, and the tabulated softmax exponential,
-each against the arithmetic it replaces; and its windows split over threads."""
+each against the arithmetic it replaces; and its batches spread over threads."""
 
 from __future__ import annotations
 
@@ -246,6 +246,38 @@ def test_every_cpu_count_gives_the_same_bits(monkeypatch, series_qm, windows):
         assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus, windows, threads", [(8, 129, 3), (2, 600, 2), (8, 0, 1)])
+def test_one_engine_per_batch_on_at_most_one_thread_per_batch(
+    monkeypatch, cpus, windows, threads
+):
+    """Every ``EVAL_BATCH`` batch, the last one partial, runs on an engine of
+    its own, on ``min(cpus, batches)`` threads, the calling one among them."""
+    config = ModelConfig(seq_len=4, input_dim=1, d_model=4)
+    X = np.random.default_rng(0).normal(size=(windows, 4, 1))
+    calibration = np.random.default_rng(1).normal(size=(64, 4, 1))
+    qm = quantize_model(init(config, 0), UNIFORM_8, calibration_data=calibration)
+    sizes, engines, started = [], [], []
+    predict = quantized._IntegerEngine.predict
+
+    def record(engine, batch):
+        sizes.append(len(batch))
+        engines.append(engine)
+        return predict(engine, batch)
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(quantized._IntegerEngine, "predict", record)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(training, "cpus", lambda: cpus)
+    assert len(forward_integer(qm, qm.quantize_input(X))) == windows
+    full, last = divmod(windows, 64)
+    assert sorted(sizes, reverse=True) == [64] * full + ([last] if last or not full else [])
+    assert len(set(map(id, engines))) == len(sizes) and 1 + len(started) == threads
+
+
 @pytest.mark.parametrize("series_qm", [UNIFORM_8], ids=str, indirect=True)
 def test_eight_workers_under_a_short_switch_interval(monkeypatch, series_qm):
     """Ten batches on eight workers, the interpreter switching threads every
@@ -267,15 +299,20 @@ def test_eight_workers_under_a_short_switch_interval(monkeypatch, series_qm):
 
 def test_a_failure_on_a_worker_thread_surfaces(monkeypatch, tmp_path, capsys):
     """From ``forward_integer`` as the error itself, from the CLI as exit 3,
-    once every thread has ended."""
+    once every thread has ended. The calling thread's batch waits until the
+    worker thread has taken a batch, and that batch fails, so the failure is
+    on the worker thread whichever thread wins which batch."""
     X = bundled_windows()
     config = ModelConfig(seq_len=12, input_dim=X.shape[2], d_model=8)
     qm = quantize_model(init(config, 4), UNIFORM_8, calibration_data=X[:1789])
     calling, run = threading.get_ident(), quantized._IntegerEngine.run
+    taken = threading.Event()
 
     def run_or_fail(engine, X, mode):
         if threading.get_ident() != calling:
+            taken.set()
             raise AssertionError("injected on a worker thread")
+        assert taken.wait(timeout=60)
         return run(engine, X, mode)
 
     monkeypatch.setattr(quantized._IntegerEngine, "run", run_or_fail)
@@ -284,6 +321,7 @@ def test_a_failure_on_a_worker_thread_surfaces(monkeypatch, tmp_path, capsys):
     with pytest.raises(AssertionError, match="injected on a worker thread"):
         forward_integer(qm, qm.quantize_input(X[:199]))
     assert threading.active_count() == threads
+    taken.clear()
 
     model, data = tmp_path / "model.json", tmp_path / "series.csv"
     save_model(qm, model)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 import platform
 import resource
+import threading
 import tracemalloc
 import types
 from dataclasses import dataclass
@@ -522,3 +524,64 @@ class TestHeapSetting:
         del libc.mallopt
         train(init(TINY, 1), toy_dataset(), TrainConfig(epochs=1, patience=1))
         assert libc.calls == []
+
+
+def job(steps: int, value):
+    """A job that yields ``steps`` times, then returns ``value``."""
+    for _ in range(steps):
+        yield
+    return value
+
+
+class TestRunJobs:
+    """``run_jobs``, the one scheduler of the threads mixprec starts."""
+
+    def test_jobs_of_different_lengths_return_their_values_by_name(self, monkeypatch):
+        monkeypatch.setattr(training, "cpus", lambda: 2)
+        lengths = {"none": 0, "one": 1, "short": 3, "long": 40}
+        results, failure = training.run_jobs({name: job(n, n) for name, n in lengths.items()})
+        assert failure is None
+        assert results == lengths
+
+    @pytest.mark.parametrize("cpus, jobs, threads", [(4, 3, 3), (4, 9, 4), (1, 3, 1)])
+    def test_threads_are_the_cpus_capped_at_the_jobs(self, monkeypatch, cpus, jobs, threads):
+        """The calling thread and one started thread per further worker."""
+        cpu_set = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpu_set, raising=False)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        results, failure = training.run_jobs({i: job(i, i) for i in range(jobs)})
+        assert failure is None and results == {i: i for i in range(jobs)}
+        assert 1 + len(started) == threads
+
+    def test_the_first_failure_closes_every_other_job(self, monkeypatch):
+        """``fails`` raises at its third step, after every job has stepped;
+        the endless jobs are closed, their ``finally`` run."""
+        closed = []
+
+        def endless(name: str):
+            try:
+                while True:
+                    yield
+            finally:
+                closed.append(name)
+
+        def fails():
+            yield
+            yield
+            raise ValueError("injected")
+
+        monkeypatch.setattr(training, "cpus", lambda: 3)
+        threads = threading.active_count()
+        jobs = {"a": endless("a"), "fails": fails(), "b": endless("b")}
+        results, failure = training.run_jobs(jobs)
+        name, error = failure
+        assert name == "fails" and isinstance(error, ValueError) and str(error) == "injected"
+        assert results == {} and sorted(closed) == ["a", "b"]
+        assert threading.active_count() == threads
